@@ -26,7 +26,7 @@ from .initialization import (
     resolve_spec,
     time_vector,
 )
-from .linalg import SvdResult, matmul, pinv, split_sections, svd
+from .linalg import SvdResult, pinv, split_sections, svd
 from .nmf import (
     ConvergenceTrace,
     Factorization,
@@ -83,7 +83,6 @@ __all__ = [
     "hals_update_w_column",
     "knowledge_init",
     "match_components",
-    "matmul",
     "nndsvd_init",
     "noise_sigma_for_range",
     "normalize",

@@ -67,8 +67,8 @@ class RunConfig:
     init: str
     components: str | None = None
     seed: int = 0
-    tol: float = 1e-8
-    max_iters: int = 500
+    tol: float = SolverConfig.rel_tol
+    max_iters: int = SolverConfig.max_iters
     dt: float | None = None
     normalize: bool = False
     plots: bool = False
@@ -98,7 +98,11 @@ class Report:
 
 
 class _Outputs:
-    """Tracks written files so a failing command can clean up after itself."""
+    """Tracks written files so a failing command can clean up after itself.
+
+    Used as a context manager: on any exception, including interrupts, the
+    files this run wrote are deleted and the exception propagates.
+    """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -110,7 +114,12 @@ class _Outputs:
         self.written.append(full)
         return full
 
-    def discard(self) -> None:
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
         for path in self.written:
             try:
                 os.unlink(path)
@@ -145,15 +154,6 @@ def _load_component_specs(path: str | None, k: int) -> list[ComponentSpec]:
     return specs
 
 
-def _check_rank(data: TimeSeriesSet, k: int) -> None:
-    limit = min(data.values.shape)
-    if k > limit:
-        raise ValidationError(
-            f"k = {k} exceeds min(N, M) = {limit} for a "
-            f"{data.values.shape[0]}x{data.values.shape[1]} dataset"
-        )
-
-
 def build_init(
     strategy: str, data: TimeSeriesSet, k: int, components: str | None, seed: int
 ) -> InitResult:
@@ -168,7 +168,6 @@ def build_init(
 def run_decompose(cfg: RunConfig) -> Report:
     """Ingest, initialize, solve, and write the factor/report files."""
     data = ingest_csv(cfg.input, dt=cfg.dt)
-    _check_rank(data, cfg.k)
     init = build_init(cfg.init, data, cfg.k, cfg.components, cfg.seed)
     solver = SolverConfig(max_iters=cfg.max_iters, rel_tol=cfg.tol)
     factors, trace = solve(
@@ -183,8 +182,7 @@ def run_decompose(cfg: RunConfig) -> Report:
     if cfg.normalize:
         factors = normalize(factors)
 
-    outputs = _Outputs(cfg.out)
-    try:
+    with _Outputs(cfg.out) as outputs:
         write_matrix_csv(outputs.path("theta.csv"), factors.theta)
         write_matrix_csv(outputs.path("w.csv"), factors.w)
         write_trace_csv(outputs.path("trace.csv"), trace.costs)
@@ -201,9 +199,6 @@ def run_decompose(cfg: RunConfig) -> Report:
         if cfg.plots:
             _write_decompose_plots(outputs, data, factors, trace.costs)
         report.files = list(outputs.written)
-    except BaseException:
-        outputs.discard()
-        raise
     return report
 
 
@@ -283,8 +278,8 @@ def run_compare_inits(
     strategies=STRATEGIES,
     components: str | None = None,
     n_seeds: int = 20,
-    tol: float = 1e-8,
-    max_iters: int = 500,
+    tol: float = SolverConfig.rel_tol,
+    max_iters: int = SolverConfig.max_iters,
 ) -> dict:
     """Solve with each strategy and tabulate per-iteration costs.
 
@@ -292,7 +287,6 @@ def run_compare_inits(
     runs; its iterations-to-threshold figure is the median of the per-seed
     figures. Returns the summary dict that also lands in report.txt.
     """
-    _check_rank(data, k)
     if n_seeds < 1:
         raise ValidationError(f"need at least one random seed, got {n_seeds}")
     solver = SolverConfig(max_iters=max_iters, rel_tol=tol)
@@ -340,8 +334,7 @@ def run_compare_inits(
                 "final_cost": trace.costs[-1],
             }
 
-    outputs = _Outputs(out_dir)
-    try:
+    with _Outputs(out_dir) as outputs:
         longest = max(len(c) for c in columns.values())
         names = list(columns)
         with open(outputs.path("convergence.csv"), "w", encoding="utf-8") as fh:
@@ -371,9 +364,6 @@ def run_compare_inits(
             )
         with open(outputs.path("report.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    except BaseException:
-        outputs.discard()
-        raise
     return summary
 
 
@@ -382,14 +372,10 @@ def run_synth(spec_path: str, out_dir: str) -> GroundTruth:
     with open(spec_path, "r", encoding="utf-8") as fh:
         parsed = parse_synthetic_spec(fh.read())
     spec, truth = build_ground_truth(parsed)
-    outputs = _Outputs(out_dir)
-    try:
+    with _Outputs(out_dir) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), truth.t_noisy, grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), truth.w_true)
         write_matrix_csv(outputs.path("truth_theta.csv"), truth.theta_true)
-    except BaseException:
-        outputs.discard()
-        raise
     return truth
 
 
@@ -407,8 +393,7 @@ def run_score(recovered_dir: str, truth_dir: str, out_dir: str) -> None:
     )
     report = match_components(recovered, truth)
 
-    outputs = _Outputs(out_dir)
-    try:
+    with _Outputs(out_dir) as outputs:
         with open(outputs.path("match.csv"), "w", encoding="utf-8") as fh:
             fh.write("recovered,true,cosine,weight_correlation\n")
             for i, j in enumerate(report.permutation):
@@ -416,9 +401,6 @@ def run_score(recovered_dir: str, truth_dir: str, out_dir: str) -> None:
                     f"{i + 1},{j + 1},{format_number(report.cosines[i])},"
                     f"{format_number(report.weight_correlations[i])}\n"
                 )
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 # --- argument parsing ------------------------------------------------------
@@ -570,8 +552,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             "init": None,
             "components": None,
             "seed": 0,
-            "tol": 1e-8,
-            "max_iters": 500,
+            "tol": SolverConfig.rel_tol,
+            "max_iters": SolverConfig.max_iters,
             "dt": None,
             "normalize": False,
             "plots": False,
@@ -609,8 +591,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "components": None,
             "seeds": 20,
             "strategies": ",".join(STRATEGIES),
-            "tol": 1e-8,
-            "max_iters": 500,
+            "tol": SolverConfig.rel_tol,
+            "max_iters": SolverConfig.max_iters,
             "dt": None,
         },
     )

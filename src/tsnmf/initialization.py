@@ -194,7 +194,7 @@ def _check_rank(t: np.ndarray, k: int) -> None:
     if not 1 <= k <= limit:
         raise ValidationError(
             f"rank {k} out of range for a {t.shape[0]}x{t.shape[1]} matrix "
-            f"(need 1 <= k <= {limit})"
+            f"(need 1 <= k <= min(N, M) = {limit})"
         )
 
 

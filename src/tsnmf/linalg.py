@@ -1,31 +1,19 @@
-"""Dense real matrix kernels: products, SVD, pseudoinverse, sign splitting.
+"""Dense real matrix kernels: SVD, pseudoinverse, sign splitting.
 
 All routines operate on 2-D float64 numpy arrays and never mutate their
-inputs. The SVD is a one-sided Jacobi implementation chosen for its
-robustness at the matrix sizes this package deals with (a few hundred rows,
-a few dozen columns); its deterministic sign convention is what makes the
-NNDSVD initialization and golden-file tests reproducible.
+inputs. The SVD itself is LAPACK's, reached through numpy; this module adds
+input validation, read-only results and a deterministic sign convention,
+which is what makes the NNDSVD initialization and golden-file tests
+reproducible.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-
-logger = logging.getLogger(__name__)
-
-# One-sided Jacobi sweeps stop when every column pair is relatively
-# orthogonal to this tolerance; the sweep cap guarantees termination.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
-
-# Columns whose singular value falls below this fraction of the largest are
-# numerically unreliable and get a deterministic orthonormal replacement.
-_RELIABLE_FRACTION = 1e-11
+from .errors import NumericalError, ValidationError
 
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -41,18 +29,6 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
             f"{name} contains a non-finite entry at ({bad[0]}, {bad[1]})"
         )
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit conformity check."""
-    a = require_matrix(a, "left operand")
-    b = require_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]}: inner dimensions differ"
-        )
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -73,22 +49,19 @@ class SvdResult:
 
 
 def svd(a) -> SvdResult:
-    """Full thin SVD via one-sided Jacobi rotations.
+    """Thin SVD from LAPACK (via numpy) with a deterministic sign convention.
 
-    Works on the taller orientation (the input is transposed when it has
-    more columns than rows) and applies a deterministic sign convention:
-    each (u_j, v_j) pair is flipped so the largest-magnitude entry of u_j
-    is positive.
+    Each (u_j, v_j) pair is flipped so the largest-magnitude entry of u_j
+    is positive; NNDSVD reproducibility depends on this convention. A LAPACK
+    convergence failure raises :class:`NumericalError`.
     """
     a = require_matrix(a, "svd input")
-    transposed = a.shape[0] < a.shape[1]
-    work = a.T if transposed else a
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"svd failed: {exc}") from exc
+    v = vt.T
 
-    u, sigma, v = _jacobi_svd(work)
-    if transposed:
-        u, v = v, u
-
-    # Sign convention keyed on u after any transpose swap.
     for j in range(sigma.size):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0.0:
@@ -99,94 +72,6 @@ def svd(a) -> SvdResult:
     sigma.setflags(write=False)
     v.setflags(write=False)
     return SvdResult(u=u, sigma=sigma, v=v)
-
-
-def _jacobi_svd(a: np.ndarray):
-    """One-sided Jacobi on a rows >= cols matrix.
-
-    Rotates column pairs of a working copy until all pairs are mutually
-    orthogonal; column norms then give the singular values and the
-    accumulated rotations give the right singular vectors.
-    """
-    rows, cols = a.shape
-    w = np.array(a, dtype=float, copy=True)
-    v = np.eye(cols)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                wp = w[:, p]
-                wq = w[:, q]
-                alpha = float(wp @ wp)
-                beta = float(wq @ wq)
-                gamma = float(wp @ wq)
-                if alpha == 0.0 or beta == 0.0 or gamma == 0.0:
-                    continue
-                ratio = abs(gamma) / np.sqrt(alpha * beta)
-                if ratio > worst:
-                    worst = ratio
-                if ratio <= JACOBI_TOL:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                w[:, (p, q)] = w[:, (p, q)] @ rot
-                v[:, (p, q)] = v[:, (p, q)] @ rot
-        if worst <= JACOBI_TOL:
-            break
-    else:
-        logger.warning(
-            "jacobi svd hit the %d-sweep cap (worst pair ratio %.3e)",
-            JACOBI_MAX_SWEEPS,
-            worst,
-        )
-
-    sigma = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros((rows, cols))
-    sigma_max = sigma[0] if sigma.size else 0.0
-    cutoff = sigma_max * _RELIABLE_FRACTION
-    unreliable = []
-    for j in range(cols):
-        if sigma[j] > cutoff:
-            u[:, j] = w[:, j] / sigma[j]
-        else:
-            unreliable.append(j)
-    if unreliable:
-        _complete_orthonormal(u, unreliable)
-    return u, sigma, v
-
-
-def _complete_orthonormal(u: np.ndarray, empty: list[int]) -> None:
-    """Fill the listed columns of ``u`` with deterministic orthonormal vectors.
-
-    Picks, for each empty column, the canonical basis vector with the
-    largest residual outside the span of the columns filled so far, then
-    orthogonalizes it (twice, for numerical safety) and normalizes.
-    """
-    rows = u.shape[0]
-    # residual[i] tracks 1 - ||row i of the filled part||^2, the squared
-    # residual norm of basis vector e_i against the current column span.
-    residual = 1.0 - np.sum(u * u, axis=1)
-    for j in empty:
-        i = int(np.argmax(residual))
-        e = np.zeros(rows)
-        e[i] = 1.0
-        for _ in range(2):
-            e -= u @ (u.T @ e)
-        norm = np.linalg.norm(e)
-        e /= norm
-        u[:, j] = e
-        residual -= e * e
 
 
 def pinv(a, rank_tol: float | None = None) -> np.ndarray:

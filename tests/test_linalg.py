@@ -1,50 +1,7 @@
 import numpy as np
 import pytest
 
-from tsnmf import ShapeError, SvdResult, ValidationError, matmul, pinv, split_sections, svd
-
-
-def naive_matmul(a, b):
-    """Triple-loop product oracle, independent of the library path."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3) + 1
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_direct_arithmetic(self):
-        got = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        assert np.array_equal(got, [[3.0], [7.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.random((7, 5))
-        b = rng.random((5, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_shape_error_names_both_operands(self):
-        with pytest.raises(ShapeError, match=r"2x3.*4x2"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        a, b, c = rng.random((6, 4)), rng.random((4, 5)), rng.random((5, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.abs(left - right).max() <= 1e-10 * np.abs(left).max()
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            matmul([[np.nan, 1.0]], [[1.0], [1.0]])
+from tsnmf import NumericalError, SvdResult, ValidationError, pinv, split_sections, svd
 
 
 class TestSvd:
@@ -115,6 +72,31 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             svd([[1.0, np.inf], [0.0, 1.0]])
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            svd(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.random.default_rng(15).random((30, 8)) - 0.5,
+            np.random.default_rng(16).random((5, 17)) - 0.5,
+            np.random.default_rng(17).random((12, 3))
+            @ np.random.default_rng(18).random((3, 9)),
+        ],
+        ids=["tall", "wide", "rank-deficient"],
+    )
+    def test_sign_convention(self, a):
+        res = svd(a)
+        peaks = np.argmax(np.abs(res.u), axis=0)
+        assert np.all(res.u[peaks, np.arange(res.sigma.size)] > 0.0)
+        rebuilt = res.u @ np.diag(res.sigma) @ res.v.T
+        assert np.linalg.norm(a - rebuilt) <= 1e-12 * np.linalg.norm(a)
 
 
 def penrose_defects(a, p):
