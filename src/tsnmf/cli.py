@@ -337,18 +337,12 @@ def run_compare_inits(
     with _Outputs(out_dir) as outputs:
         longest = max(len(c) for c in columns.values())
         names = list(columns)
-        with open(outputs.path("convergence.csv"), "w", encoding="utf-8") as fh:
-            fh.write("iteration," + ",".join(names) + "\n")
-            for i in range(longest):
-                row = [str(i + 1)]
-                for name in names:
-                    padded = _padded(columns[name], longest)
-                    row.append(format_number(padded[i]))
-                fh.write(",".join(row) + "\n")
+        table = np.column_stack([_padded(columns[name], longest) for name in names])
+        write_trace_csv(outputs.path("convergence.csv"), table, names)
         write_line_plot(
             outputs.path("convergence.svg"),
             np.arange(1, longest + 1),
-            [np.asarray(_padded(columns[name], longest)) for name in names],
+            list(table.T),
             names,
             title="Convergence by initialization",
             x_label="iteration",

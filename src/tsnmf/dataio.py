@@ -2,8 +2,9 @@
 
 The dataset format is N rows of M comma-separated non-negative decimals
 with an optional single header row of time labels ``t=<seconds>`` fixing
-the sampling step. Numbers are written with Python's shortest round-trip
-representation so exported files re-ingest bit-identically.
+the sampling step. Blank lines are skipped; errors name the file line (and
+column) of the first defect. Numbers are written with Python's shortest
+round-trip representation so exported files re-ingest bit-identically.
 """
 
 from __future__ import annotations
@@ -42,12 +43,51 @@ def _parse_cell(raw: str, line_no: int, col_no: int) -> float:
     return value
 
 
-def _parse_time_header(cells: list[str], line_no: int) -> list[float]:
-    times = []
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
+
+
+def _parse_rows(rows, nonnegative: bool, ragged_prefix: str) -> np.ndarray:
+    """Parse numbered lines into an N x M array, one numpy assignment a row.
+
+    Only the first bad row in file order, found by the conversions and one
+    mask, is parsed again cell by cell to name its line and column.
+    """
+    width = rows[0][1].count(",") + 1
+    values = np.empty((len(rows), width))
+    done = 0
+    for _, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            break
+        try:
+            values[done] = cells
+        except ValueError:
+            break
+        done += 1
+    bad = ~np.isfinite(values[:done])
+    if nonnegative:
+        bad |= values[:done] < 0.0
+    hits = np.flatnonzero(bad.any(axis=1))
+    if done == len(rows) and not hits.size:
+        return values
+    line_no, line = rows[hits[0] if hits.size else done]
+    cells = line.split(",")
+    if len(cells) != width:
+        raise ValidationError(
+            f"{ragged_prefix}ragged row at line {line_no}: "
+            f"{len(cells)} cells, expected {width}"
+        )
     for col_no, cell in enumerate(cells, start=1):
-        body = cell.strip()[2:]
-        times.append(_parse_cell(body, line_no, col_no))
-    return times
+        value = _parse_cell(cell.strip(), line_no, col_no)
+        if nonnegative and value < 0.0:
+            raise ValidationError(
+                f"negative value {value!r} at line {line_no}, column {col_no}; "
+                "the data contract is non-negative"
+            )
+    # numpy converts a string exactly as float() does, so this is unreachable.
+    raise AssertionError(f"line {line_no} was rejected but holds no defect")
 
 
 def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
@@ -58,42 +98,24 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
     rows, non-numeric cells, and negative values are validation errors that
     name the offending line (and column).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    rows_raw = [(no, line) for no, line in enumerate(lines, start=1) if line.strip()]
-    if not rows_raw:
+    rows = _numbered_lines(path)
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
 
     header_times = None
-    first_cells = [c.strip() for c in rows_raw[0][1].split(",")]
+    first_cells = [c.strip() for c in rows[0][1].split(",")]
     if all(c.startswith("t=") for c in first_cells):
-        header_times = _parse_time_header(first_cells, rows_raw[0][0])
-        rows_raw = rows_raw[1:]
-        if not rows_raw:
+        header_times = [
+            _parse_cell(c[2:], rows[0][0], col_no)
+            for col_no, c in enumerate(first_cells, start=1)
+        ]
+        rows = rows[1:]
+        if not rows:
             raise ValidationError(f"{path}: header but no data rows")
 
-    width = None
-    data = []
-    for line_no, line in rows_raw:
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValidationError(
-                f"ragged row at line {line_no}: {len(cells)} cells, expected {width}"
-            )
-        row = []
-        for col_no, cell in enumerate(cells, start=1):
-            value = _parse_cell(cell.strip(), line_no, col_no)
-            if value < 0.0:
-                raise ValidationError(
-                    f"negative value {value!r} at line {line_no}, column {col_no}; "
-                    "the data contract is non-negative"
-                )
-            row.append(value)
-        data.append(row)
-    values = np.array(data, dtype=float)
+    values = _parse_rows(rows, nonnegative=True, ragged_prefix="")
 
+    inferred = None
     if header_times is not None:
         if len(header_times) != values.shape[1]:
             raise ValidationError(
@@ -101,8 +123,6 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
                 f"{values.shape[1]} cells"
             )
         inferred = _infer_dt(header_times)
-    else:
-        inferred = None
 
     if inferred is not None:
         step, source = inferred, "header"
@@ -138,35 +158,22 @@ def write_matrix_csv(path, matrix: np.ndarray, grid: TimeGrid | None = None) -> 
         if grid is not None:
             fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")
         for row in matrix:
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+            # repr of a Python float is format_number's output.
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a plain numeric CSV (no header) into a 2-D array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
+    rows = _numbered_lines(path)
+    if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    width = None
-    data = []
-    for line_no, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValidationError(
-                f"{path}: ragged row at line {line_no}: "
-                f"{len(cells)} cells, expected {width}"
-            )
-        data.append(
-            [_parse_cell(c.strip(), line_no, i + 1) for i, c in enumerate(cells)]
-        )
-    return np.array(data, dtype=float)
+    return _parse_rows(rows, nonnegative=False, ragged_prefix=f"{path}: ")
 
 
-def write_trace_csv(path, costs) -> None:
-    """Write an ``iteration,cost`` trace file."""
+def write_trace_csv(path, costs, names=("cost",)) -> None:
+    """Write an ``iteration,<names>`` table of one series or one column per name."""
+    table = np.asarray(costs, dtype=float).reshape(len(costs), len(names))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,cost\n")
-        for i, value in enumerate(costs, start=1):
-            fh.write(f"{i},{format_number(value)}\n")
+        fh.write(",".join(("iteration", *names)) + "\n")
+        for i, row in enumerate(table, start=1):
+            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")

@@ -93,7 +93,10 @@ def _require_nonnegative(a: np.ndarray, name: str, limit: int = 8) -> None:
 
 
 def cost(t, f: Factorization) -> float:
-    """Squared Frobenius residual ``sum((t - w @ theta)**2)``."""
+    """Squared Frobenius residual ``sum((t - w @ theta)**2)``.
+
+    Raises :class:`NumericalError` when it overflows double precision.
+    """
     t = require_matrix(t, "t")
     if t.shape != (f.w.shape[0], f.theta.shape[1]):
         raise ShapeError(
@@ -101,7 +104,10 @@ def cost(t, f: Factorization) -> float:
             f"{f.w.shape[0]}x{f.theta.shape[1]}"
         )
     diff = t - f.w @ f.theta
-    return float(np.sum(diff * diff))
+    value = float(np.sum(diff * diff))
+    if not np.isfinite(value):
+        raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
+    return value
 
 
 def reconstruct(f: Factorization) -> np.ndarray:

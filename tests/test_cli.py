@@ -270,6 +270,32 @@ class TestDecomposeCommand:
         )
         assert code == 4
 
+    def test_overflowing_data_exits_4_without_factor_files(self, tmp_path, dataset):
+        from tsnmf.dataio import ingest_csv, write_matrix_csv
+
+        data = ingest_csv(dataset / "dataset.csv")
+        huge = tmp_path / "huge.csv"
+        write_matrix_csv(huge, data.values * 1e300, grid=data.grid)
+        out = tmp_path / "o"
+        code = cli.main(
+            [
+                "decompose",
+                "--input",
+                str(huge),
+                "--k",
+                "2",
+                "--init",
+                "random",
+                "--max-iters",
+                "3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 4
+        for name in ("theta.csv", "w.csv", "trace.csv", "report.txt"):
+            assert not (out / name).exists()
+
 
 class TestCompareInitsCommand:
     def test_all_strategies(self, tmp_path, dataset):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsnmf import ValidationError, time_vector
 from tsnmf.dataio import (
@@ -63,6 +66,32 @@ class TestIngest:
         with pytest.raises(ValidationError, match="line 1, column 2"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e309"])
+    def test_non_finite_cell_reports_coordinates(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(
+            ValidationError, match=f"non-finite cell '{cell}' at line 2, column 2"
+        ):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,-2\n3,x\n", "negative value -2.0 at line 1, column 2"),
+            ("1,x\n3,-4\n", "non-numeric cell 'x' at line 1, column 2"),
+            ("-1,x\n", "negative value -1.0 at line 1, column 1"),
+            ("1,nan\n2,3,4\n", "non-finite cell 'nan' at line 1, column 2"),
+            ("1,2\n3,4,5\n-1,x\n", "ragged row at line 2"),
+            ("1,2\n\n3,x\n-4,5\n", "non-numeric cell 'x' at line 3, column 2"),
+        ],
+    )
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            ingest_csv(path)
+
     def test_header_width_mismatch(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("t=0,t=5,t=10\n1,2\n")
@@ -104,6 +133,29 @@ def test_read_matrix_csv_ragged(tmp_path):
     path.write_text("1,2\n3\n")
     with pytest.raises(ValidationError, match="line 2"):
         read_matrix_csv(path)
+
+
+def test_read_matrix_csv_names_file_line_after_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\n1,2\n3\n")
+    with pytest.raises(ValidationError, match="ragged row at line 3"):
+        read_matrix_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+)
+@example(matrix=np.array([[5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]]))
+def test_write_then_read_is_bit_identical(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("round_trip") / "m.csv"
+    write_matrix_csv(path, matrix)
+    assert read_matrix_csv(path).tobytes() == matrix.tobytes()
+    assert ingest_csv(path, dt=1.0).values.tobytes() == matrix.tobytes()
 
 
 def test_trace_csv(tmp_path):
