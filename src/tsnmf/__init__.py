@@ -33,7 +33,6 @@ from .nmf import (
     SolverConfig,
     cost,
     hals_sweep,
-    hals_update_w_column,
     normalize,
     reconstruct,
     revive_dead_component,
@@ -80,7 +79,6 @@ __all__ = [
     "cost",
     "generate",
     "hals_sweep",
-    "hals_update_w_column",
     "knowledge_init",
     "match_components",
     "nndsvd_init",

@@ -2,9 +2,12 @@
 
 Approximates a non-negative data matrix ``t`` (recordings x time points) by
 ``w @ theta`` with both factors non-negative, minimizing the squared
-Frobenius residual by exact coordinate descent: every update of a single
-``w`` column (or ``theta`` row, via the transposed problem) is the closed
-form non-negative least squares minimizer, so the cost never increases.
+Frobenius residual by exact coordinate descent. Each half sweep forms two
+products once (``t @ theta.T`` and ``theta @ theta.T``, or ``t.T @ w`` and
+``w.T @ w``); every ``w`` column (or ``theta`` row) update read from them is
+the closed-form non-negative least squares minimizer, so the cost never
+increases. A component is dead, and re-seeded from the residual, when its
+squared norm is at most ``dead_component_eps`` times the largest in its half.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .errors import NumericalError, ShapeError, ValidationError
 from .linalg import require_matrix
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_DEAD_EPS = 1e-12
 
 
 @dataclass
@@ -56,11 +57,14 @@ class Factorization:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and housekeeping knobs for :func:`solve`."""
+    """Stopping and housekeeping knobs for :func:`solve`.
+
+    ``dead_component_eps`` is relative; see :func:`hals_sweep`.
+    """
 
     max_iters: int = 500
     rel_tol: float = 1e-8
-    dead_component_eps: float = DEFAULT_DEAD_EPS
+    dead_component_eps: float = 1e-12
     normalize_output: bool = False
 
     def __post_init__(self):
@@ -97,14 +101,20 @@ def cost(t, f: Factorization) -> float:
 
     Raises :class:`NumericalError` when it overflows double precision.
     """
-    t = require_matrix(t, "t")
+    return _cost(require_matrix(t, "t"), f)
+
+
+def _cost(t: np.ndarray, f: Factorization) -> float:
+    """:func:`cost` without the scan of ``t`` that :func:`solve` makes once."""
     if t.shape != (f.w.shape[0], f.theta.shape[1]):
         raise ShapeError(
             f"t is {t.shape[0]}x{t.shape[1]} but w @ theta is "
             f"{f.w.shape[0]}x{f.theta.shape[1]}"
         )
-    diff = t - f.w @ f.theta
-    value = float(np.sum(diff * diff))
+    # The finiteness check reports an overflow; numpy's warning would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = t - f.w @ f.theta
+        value = float(np.sum(diff * diff))
     if not np.isfinite(value):
         raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
     return value
@@ -115,66 +125,40 @@ def reconstruct(f: Factorization) -> np.ndarray:
     return f.w @ f.theta
 
 
-def hals_update_w_column(
-    t, f: Factorization, l: int, dead_eps: float = DEFAULT_DEAD_EPS
-) -> np.ndarray:
-    """Exact non-negative least squares minimizer for column ``l`` of ``w``.
-
-    Returns ``max(0, (t @ theta_l - sum_{k!=l} w_k (theta_k . theta_l))
-    / ||theta_l||^2)`` without mutating ``f``. The caller must ensure the
-    component is alive; a degenerate denominator here is an internal bug.
-    """
-    theta_l = f.theta[l]
-    denom = float(theta_l @ theta_l)
-    if denom <= dead_eps:
-        raise NumericalError(
-            f"dead component {l} reached the column update "
-            f"(||theta_l||^2 = {denom:.3e})"
-        )
-    # w @ (theta @ theta_l) includes the k == l term; add it back.
-    numer = t @ theta_l - f.w @ (f.theta @ theta_l) + f.w[:, l] * denom
-    return np.maximum(0.0, numer / denom)
-
-
 def hals_sweep(
     t,
     f: Factorization,
     *,
-    dead_eps: float = DEFAULT_DEAD_EPS,
+    dead_eps: float = SolverConfig.dead_component_eps,
     on_dead: Callable[[Factorization, int], Factorization] | None = None,
 ) -> Factorization:
     """One full coordinate-descent pass: w columns 1..K, then theta rows 1..K.
 
-    The theta half reuses the same column update on the transposed problem.
-    When a component's denominator has collapsed, ``on_dead`` (if given) must
-    return a factorization with that component revived; without a handler the
-    dead component propagates as a :class:`NumericalError`.
+    Each half fits ``a ~ x @ y`` column by column (``t ~ w @ theta``, then
+    ``t.T ~ theta.T @ w.T`` through the ``theta.T`` view) with ``p = a @ y.T``
+    and ``g = y @ y.T`` formed once: ``x_l <- max(0, x_l + (p_l - x @ g_l) / g_ll)``.
+    Component l is dead when ``g_ll <= dead_eps * max_j g_jj``; ``on_dead`` (if
+    given) must return the factorization with it revived, and ``p`` and ``g`` are
+    formed again. Without a handler a dead component raises :class:`NumericalError`.
     """
     work = f.copy()
-    tt = t.T
+    for a, transposed in ((t, False), (t.T, True)):
+        def products():
+            x, y = (work.theta.T, work.w.T) if transposed else (work.w, work.theta)
+            g = y @ y.T
+            # p = a @ y.T; for tall a, BLAS forms (y @ a.T).T faster and in less memory.
+            return x, (y @ a.T).T, g, dead_eps * float(g.diagonal().max())
 
-    for l in range(work.k):
-        if float(work.theta[l] @ work.theta[l]) <= dead_eps:
-            if on_dead is None:
-                raise NumericalError(f"component {l} is dead on entry to sweep")
-            work = on_dead(work, l)
-            if float(work.theta[l] @ work.theta[l]) <= dead_eps:
-                continue  # revival found no usable residual; leave it idle
-        work.w[:, l] = hals_update_w_column(t, work, l, dead_eps)
-
-    # Transposed view: columns of theta.T are rows of theta, so the same
-    # update rule minimizes over each theta row in order.
-    mirrored = Factorization(work.theta.T, work.w.T)
-    for l in range(work.k):
-        if float(work.w[:, l] @ work.w[:, l]) <= dead_eps:
-            if on_dead is None:
-                raise NumericalError(f"component {l} died mid-sweep")
-            work = on_dead(work, l)
-            mirrored = Factorization(work.theta.T, work.w.T)
-            if float(work.w[:, l] @ work.w[:, l]) <= dead_eps:
-                continue
-        mirrored.w[:, l] = hals_update_w_column(tt, mirrored, l, dead_eps)
-
+        x, p, g, floor = products()
+        for l in range(work.k):
+            if g[l, l] <= floor:
+                if on_dead is None:
+                    raise NumericalError(f"component {l} is dead")
+                work = on_dead(work, l)
+                x, p, g, floor = products()
+                if g[l, l] <= floor:
+                    continue  # revival found no usable residual; leave it idle
+            x[:, l] = np.maximum(0.0, x[:, l] + (p[:, l] - x @ g[:, l]) / g[l, l])
     return work
 
 
@@ -184,14 +168,14 @@ def revive_dead_component(
     """Re-seed a collapsed component from the current residual.
 
     The theta row becomes the residual row with the largest L2 norm, clamped
-    at zero; the w column is refilled with small strictly positive noise so
-    the next exact update can take over.
+    at zero; the w column is refilled with positive noise at 1e-3 of the
+    data maximum so the next exact update can take over.
     """
     out = f.copy()
     residual = t - out.w @ out.theta
     row = int(np.argmax(np.sum(residual * residual, axis=1)))
     out.theta[l] = np.maximum(0.0, residual[row])
-    scale = max(1e-3 * float(np.max(t)), 1e-6)
+    scale = 1e-3 * float(np.max(t))
     out.w[:, l] = scale * (1.0 - rng.random(out.w.shape[0]))
     return out
 
@@ -239,26 +223,21 @@ def solve(
         np.array(w0, dtype=float, copy=True), np.array(theta0, dtype=float, copy=True)
     )
     f.validate()
-    if t.shape != (f.w.shape[0], f.theta.shape[1]):
-        raise ShapeError(
-            f"t is {t.shape[0]}x{t.shape[1]} but init factors give "
-            f"{f.w.shape[0]}x{f.theta.shape[1]}"
-        )
-
     trace = ConvergenceTrace()
-    d_init = cost(t, f)
+
+    def reviver(fact: Factorization, l: int) -> Factorization:
+        trace.revives.append((iteration, l))
+        return revive_dead_component(t, fact, l, rng)
+
+    d_init = _cost(t, f)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
     denom = max(d_init, np.finfo(float).eps * float(np.sum(t * t)), np.finfo(float).tiny)
     prev = d_init
 
     for iteration in range(1, config.max_iters + 1):
-        def reviver(fact: Factorization, l: int, _it: int = iteration) -> Factorization:
-            trace.revives.append((_it, l))
-            return revive_dead_component(t, fact, l, rng)
-
         f = hals_sweep(t, f, dead_eps=config.dead_component_eps, on_dead=reviver)
-        current = cost(t, f)
+        current = _cost(t, f)
         trace.costs.append(current)
         if abs(prev - current) / denom < config.rel_tol:
             break

@@ -270,6 +270,7 @@ class TestDecomposeCommand:
         )
         assert code == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_data_exits_4_without_factor_files(self, tmp_path, dataset):
         from tsnmf.dataio import ingest_csv, write_matrix_csv
 

@@ -17,7 +17,6 @@ from tsnmf import (
     cost,
     generate,
     hals_sweep,
-    hals_update_w_column,
     nndsvd_init,
     noise_sigma_for_range,
     normalize,
@@ -26,6 +25,8 @@ from tsnmf import (
     solve,
     time_vector,
 )
+from tsnmf.cli import build_init
+from tsnmf.dataio import TimeSeriesSet
 from tsnmf.initialization import BATH_PULSE, COOLING, HEATING
 
 
@@ -35,6 +36,34 @@ def random_problem(seed, n=20, m=32, k=4):
     w0 = rng.random((n, k)) + 0.01
     th0 = rng.random((k, m)) + 0.01
     return t, w0, th0
+
+
+def planted_problem():
+    """Three heat-transfer components, 100 x 32, 1% noise."""
+    grid = time_vector(32, 5.0)
+    spec = SyntheticSpec(
+        n=100,
+        grid=grid,
+        components=(
+            PlantedComponent(
+                ComponentSpec(BATH_PULSE, amp=1.0, tau_c=90.0, tau_h=8.0),
+                WeightModel("walk", base=30.0, step=0.05),
+            ),
+            PlantedComponent(
+                ComponentSpec(COOLING, amp=1.0, tau_c=50.0),
+                WeightModel("drift", base=8.0, slope=-0.02),
+            ),
+            PlantedComponent(
+                ComponentSpec(HEATING, amp=1.0, tau_h=30.0),
+                WeightModel("periodic", base=2.0, amp=6.0, period=25.0),
+            ),
+        ),
+        noise_sigma=0.0,
+        seed=5,
+    )
+    clean = generate(spec)
+    sigma = noise_sigma_for_range(clean.t_clean, 0.01)
+    return generate(dataclasses.replace(spec, noise_sigma=sigma))
 
 
 class TestCost:
@@ -61,38 +90,22 @@ class TestCost:
             cost(np.ones((2, 2)), f)
 
 
-class TestHalsUpdateWColumn:
-    def test_unconstrained_least_squares(self):
-        f = Factorization(np.zeros((2, 1)), np.array([[1.0]]))
-        col = hals_update_w_column(np.array([[2.0], [4.0]]), f, 0)
-        assert np.allclose(col, [2.0, 4.0])
-
-    def test_clamps_at_zero(self):
-        f = Factorization(np.ones((3, 1)), np.array([[1.0, 1.0]]))
-        col = hals_update_w_column(np.zeros((3, 2)), f, 0)
-        assert np.all(col == 0.0)
-
-    def test_against_one_dimensional_nnls_oracle(self):
-        rng = np.random.default_rng(1)
-        t = rng.random((6, 5))
-        w = rng.random((6, 3))
-        th = rng.random((3, 5))
-        f = Factorization(w, th)
-        for l in range(3):
-            got = hals_update_w_column(t, f, l)
-            # Oracle: per row, the scalar non-negative least squares minimizer
-            # of ||residual_i - w * theta_l||^2, clamped in closed form.
-            theta_l = th[l]
-            denom = theta_l @ theta_l
-            for i in range(6):
-                residual = t[i] - w[i] @ th + w[i, l] * theta_l
-                expected = max(0.0, (residual @ theta_l) / denom)
-                assert abs(got[i] - expected) <= 1e-12
-
-    def test_dead_component_raises(self):
-        f = Factorization(np.ones((2, 1)), np.zeros((1, 3)))
-        with pytest.raises(NumericalError):
-            hals_update_w_column(np.ones((2, 3)), f, 0)
+def nnls_oracle_sweep(t, w, th):
+    """One sweep replayed entry by entry: each w[i, l], then each th[l, j], is
+    the scalar non-negative least squares minimizer given every other entry,
+    clamped in closed form."""
+    w, th = w.copy(), th.copy()
+    for l in range(w.shape[1]):
+        theta_l = th[l].copy()
+        for i in range(w.shape[0]):
+            residual = t[i] - w[i] @ th + w[i, l] * theta_l
+            w[i, l] = max(0.0, (residual @ theta_l) / (theta_l @ theta_l))
+    for l in range(w.shape[1]):
+        w_l = w[:, l].copy()
+        for j in range(th.shape[1]):
+            residual = t[:, j] - w @ th[:, j] + th[l, j] * w_l
+            th[l, j] = max(0.0, (residual @ w_l) / (w_l @ w_l))
+    return w, th
 
 
 class TestHalsSweep:
@@ -140,26 +153,51 @@ class TestHalsSweep:
             assert np.all(f.w >= 0.0)
             assert np.all(f.theta >= 0.0)
 
-    def test_update_rule_is_transpose_symmetric(self):
-        # One sweep on the transposed problem must equal the mirrored sweep
-        # built by hand from the same public column update: theta rows first
-        # (as columns of theta.T), then w columns.
+    @pytest.mark.parametrize(
+        "transposed", [False, True], ids=["straight", "transposed"]
+    )
+    def test_matches_scalar_nnls_oracle(self, transposed):
         t, w0, th0 = random_problem(7, n=9, m=6, k=3)
-        swept = hals_sweep(t.T, Factorization(th0.T.copy(), w0.T.copy()))
+        # Zero data where component 0 is strong, so some entries clamp at 0.
+        t[np.outer(w0[:, 0], th0[0]) > 0.5] = 0.0
+        if transposed:
+            t, w0, th0 = t.T, th0.T.copy(), w0.T.copy()
+        out = hals_sweep(t, Factorization(w0, th0))
+        w, th = nnls_oracle_sweep(t, w0, th0)
+        assert np.any(w == 0.0) or np.any(th == 0.0)
+        assert np.abs(out.w - w).max() <= 1e-12
+        assert np.abs(out.theta - th).max() <= 1e-12
 
-        theta = th0.copy()
-        mirrored = Factorization(theta.T, w0.T.copy())
-        for l in range(3):
-            mirrored.w[:, l] = hals_update_w_column(t.T, mirrored, l)
-        w = w0.copy()
-        straight = Factorization(w, theta)
-        for l in range(3):
-            straight.w[:, l] = hals_update_w_column(t, straight, l)
+    def test_clamped_column_is_left_idle_when_revival_fails(self):
+        # Zero data clamps the whole w column to zero; the theta half then
+        # finds the component dead, and a handler that cannot revive it
+        # leaves it idle instead of dividing by zero.
+        calls = []
 
-        # Same arithmetic either way; memory layout may flip the last bit of
-        # the BLAS reductions, so compare at just above machine precision.
-        assert np.allclose(swept.w, theta.T, rtol=0.0, atol=1e-13)
-        assert np.allclose(swept.theta, w.T, rtol=0.0, atol=1e-13)
+        def no_revival(fact, l):
+            calls.append(l)
+            return fact
+
+        th = np.array([[1.0, 2.0]])
+        f = Factorization(np.ones((3, 1)), th)
+        out = hals_sweep(np.zeros((3, 2)), f, on_dead=no_revival)
+        assert np.all(out.w == 0.0)
+        assert np.array_equal(out.theta, th)
+        assert calls == [0]
+
+    @pytest.mark.parametrize(
+        "t, w, th",
+        [
+            # theta row zero: dead in the w half
+            (np.ones((2, 3)), np.ones((2, 1)), np.zeros((1, 3))),
+            # zero data clamps the w column: dead in the theta half
+            (np.zeros((3, 2)), np.ones((3, 1)), np.ones((1, 2))),
+        ],
+        ids=["w-half", "theta-half"],
+    )
+    def test_dead_component_without_handler_raises(self, t, w, th):
+        with pytest.raises(NumericalError, match="component 0 is dead"):
+            hals_sweep(t, Factorization(w, th))
 
 
 class TestRevive:
@@ -226,30 +264,7 @@ class TestSolve:
             assert after <= before + slack
 
     def test_planted_problem_reaches_noise_floor(self):
-        grid = time_vector(32, 5.0)
-        spec = SyntheticSpec(
-            n=100,
-            grid=grid,
-            components=(
-                PlantedComponent(
-                    ComponentSpec(BATH_PULSE, amp=1.0, tau_c=90.0, tau_h=8.0),
-                    WeightModel("walk", base=30.0, step=0.05),
-                ),
-                PlantedComponent(
-                    ComponentSpec(COOLING, amp=1.0, tau_c=50.0),
-                    WeightModel("drift", base=8.0, slope=-0.02),
-                ),
-                PlantedComponent(
-                    ComponentSpec(HEATING, amp=1.0, tau_h=30.0),
-                    WeightModel("periodic", base=2.0, amp=6.0, period=25.0),
-                ),
-            ),
-            noise_sigma=0.0,
-            seed=5,
-        )
-        clean = generate(spec)
-        sigma = noise_sigma_for_range(clean.t_clean, 0.01)
-        truth = generate(dataclasses.replace(spec, noise_sigma=sigma))
+        truth = planted_problem()
         init = nndsvd_init(truth.t_noisy, 3)
         _, trace = solve(truth.t_noisy, (init.w_init, init.theta_init))
         noise_floor = float(np.sum((truth.t_noisy - truth.t_clean) ** 2))
@@ -261,6 +276,25 @@ class TestSolve:
         base = cost(t, Factorization(w0, th0))
         scaled = cost(t, Factorization(w0 * d, th0 / d[:, None]))
         assert scaled == base
+
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e9])
+    @pytest.mark.parametrize("strategy", ["knowledge", "nndsvd", "random"])
+    def test_fit_is_scale_equivariant(self, strategy, c):
+        # The dead-component rule is relative, so scaling the data by c
+        # scales w @ theta by c with the same sweeps and revivals.
+        t = planted_problem().t_noisy
+        config = SolverConfig(max_iters=100, rel_tol=0.0)
+        grid = time_vector(32, 5.0)
+        fits = []
+        for scale in (1.0, c):
+            data = TimeSeriesSet(values=scale * t, grid=grid, dt_source="flag")
+            init = build_init(strategy, data, 3, None, seed=3)
+            f, trace = solve(scale * t, (init.w_init, init.theta_init), config)
+            fits.append((reconstruct(f) / scale, len(trace.costs), trace.revives))
+        (base, base_iters, base_revives), (scaled, iters, revives) = fits
+        assert (iters, revives) == (base_iters, base_revives)
+        assert np.linalg.norm(scaled - base) <= 1e-10 * np.linalg.norm(base)
 
 
 class TestNormalize:
