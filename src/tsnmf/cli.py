@@ -9,7 +9,7 @@ score          match recovered factors against planted truth
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure. All outputs are deterministic for a fixed (dataset, config, seed);
-partially written output files are removed when a command fails.
+a command that fails leaves the files of its output directory as they were.
 
 The component and synthetic spec-file grammars are documented in
 :mod:`tsnmf.specfiles`; the dataset CSV format in :mod:`tsnmf.dataio`.
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,7 @@ class Report:
     files: list[str]
     final_cost: float
     iterations: int
+    stop_reason: str
     clamped: int
     revives: list[tuple[int, int]]
     l1_norms_before: list[float]
@@ -98,10 +101,14 @@ class Report:
 
 
 class _Outputs:
-    """Tracks written files so a failing command can clean up after itself.
+    """Writes a command's files so that a failing command changes none of them.
 
-    Used as a context manager: on any exception, including interrupts, the
-    files this run wrote are deleted and the exception propagates.
+    Used as a context manager. :meth:`path` moves a previous run's file of
+    that name into a temporary directory inside ``out_dir`` and returns the
+    final path, which is what ``written`` lists. When the block succeeds the
+    temporary directory is removed; on any exception, including interrupts,
+    this run's files are deleted, the set-aside ones are moved back with
+    ``os.replace``, and the exception propagates.
     """
 
     def __init__(self, out_dir: str):
@@ -110,21 +117,27 @@ class _Outputs:
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
-        full = os.path.join(self.out_dir, name)
-        self.written.append(full)
-        return full
+        final = os.path.join(self.out_dir, name)
+        if os.path.exists(final):
+            os.replace(final, os.path.join(self.aside, name))
+        self.written.append(final)
+        return final
 
     def __enter__(self) -> _Outputs:
+        self.aside = tempfile.mkdtemp(prefix=".tsnmf-", dir=self.out_dir)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            return
-        for path in self.written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        try:
+            if exc_type is not None:
+                for final in self.written:
+                    previous = os.path.join(self.aside, os.path.basename(final))
+                    if os.path.exists(previous):
+                        os.replace(previous, final)
+                    elif os.path.exists(final):
+                        os.unlink(final)
+        finally:
+            shutil.rmtree(self.aside, ignore_errors=True)
 
 
 def default_component_specs(k: int) -> list[ComponentSpec]:
@@ -190,6 +203,7 @@ def run_decompose(cfg: RunConfig) -> Report:
             files=list(outputs.written),
             final_cost=trace.costs[-1],
             iterations=len(trace.costs),
+            stop_reason=trace.stop_reason,
             clamped=int(init.diagnostics.get("clamped", 0)),
             revives=list(trace.revives),
             l1_norms_before=[float(v) for v in l1_before],
@@ -209,6 +223,7 @@ def _write_report(path: str, cfg: RunConfig, init: InitResult, report: Report) -
         f"init = {init.strategy_tag}",
         f"normalize = {str(cfg.normalize).lower()}",
         f"iterations = {report.iterations}",
+        f"stop_reason = {report.stop_reason}",
         f"final_cost = {format_number(report.final_cost)}",
         f"clamped_init_entries = {report.clamped}",
         f"revived_components = {report.revives if report.revives else '[]'}",

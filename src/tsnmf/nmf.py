@@ -2,12 +2,16 @@
 
 Approximates a non-negative data matrix ``t`` (recordings x time points) by
 ``w @ theta`` with both factors non-negative, minimizing the squared
-Frobenius residual by exact coordinate descent. Each half sweep forms two
-products once (``t @ theta.T`` and ``theta @ theta.T``, or ``t.T @ w`` and
-``w.T @ w``); every ``w`` column (or ``theta`` row) update read from them is
-the closed-form non-negative least squares minimizer, so the cost never
-increases. A component is dead, and re-seeded from the residual, when its
-squared norm is at most ``dead_component_eps`` times the largest in its half.
+Frobenius residual by exact coordinate descent. ``w.T`` and ``theta`` are
+held as the top rows of two row stacks. Each half sweep writes its data
+product (``theta @ t.T`` or ``w.T @ t``) into the bottom rows of the stack
+it updates and forms one Gram matrix; every ``w`` column (or ``theta`` row)
+update is then one product of a row of ``[-G, I] / diag(G)`` with the stack,
+clamped at zero: the closed-form non-negative least squares minimizer, so
+the cost never increases. A component is dead, and re-seeded from the
+residual, when its squared norm is at most ``dead_component_eps`` times the
+largest in its half. The cost subtracts ``w @ theta`` from ``t`` in place
+and sums the squares in one thread.
 """
 
 from __future__ import annotations
@@ -83,11 +87,13 @@ class ConvergenceTrace:
     """Cost after each completed iteration (one full w and theta update).
 
     ``revives`` records (iteration, component) pairs where a collapsed
-    component was re-seeded from the residual.
+    component was re-seeded from the residual. ``stop_reason`` is ``"tol"``
+    when the relative-change test stopped the solve, else ``"max_iters"``.
     """
 
     costs: list[float] = field(default_factory=list)
     revives: list[tuple[int, int]] = field(default_factory=list)
+    stop_reason: str = "max_iters"
 
 
 def _require_nonnegative(a: np.ndarray, name: str, limit: int = 8) -> None:
@@ -112,9 +118,11 @@ def _cost(t: np.ndarray, f: Factorization) -> float:
             f"{f.w.shape[0]}x{f.theta.shape[1]}"
         )
     # The finiteness check reports an overflow; numpy's warning would repeat it.
+    # einsum sums in one thread; BLAS ddot (np.vdot, @) would start two here.
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = t - f.w @ f.theta
-        value = float(np.sum(diff * diff))
+        r = f.w @ f.theta
+        np.subtract(t, r, out=r)
+        value = float(np.einsum("ij,ij->", r, r))
     if not np.isfinite(value):
         raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
     return value
@@ -134,32 +142,57 @@ def hals_sweep(
 ) -> Factorization:
     """One full coordinate-descent pass: w columns 1..K, then theta rows 1..K.
 
-    Each half fits ``a ~ x @ y`` column by column (``t ~ w @ theta``, then
-    ``t.T ~ theta.T @ w.T`` through the ``theta.T`` view) with ``p = a @ y.T``
-    and ``g = y @ y.T`` formed once: ``x_l <- max(0, x_l + (p_l - x @ g_l) / g_ll)``.
+    ``w.T`` and ``theta`` are the top K rows of two stacks, (2K x N) and
+    (2K x M). Each half fits ``a ~ x @ y`` (``t ~ w @ theta``, then
+    ``t.T ~ theta.T @ w.T``) and writes ``p.T = y @ a.T`` into the bottom K
+    rows of the stack ``z`` that holds ``x.T``. With ``g = y @ y.T`` and
+    ``h = [-g, I] / diag(g)`` with a zero diagonal, row l of ``x.T`` becomes
+    ``max(0, h[l] @ z)``, which is ``max(0, x_l + (p_l - x @ g_l) / g_ll)``.
     Component l is dead when ``g_ll <= dead_eps * max_j g_jj``; ``on_dead`` (if
-    given) must return the factorization with it revived, and ``p`` and ``g`` are
-    formed again. Without a handler a dead component raises :class:`NumericalError`.
+    given) is passed a view of the current factors and must return the
+    factorization with l revived, and the products are formed again. Without
+    a handler a dead component raises :class:`NumericalError`. The input
+    factorization is left unchanged.
     """
-    work = f.copy()
-    for a, transposed in ((t, False), (t.T, True)):
-        def products():
-            x, y = (work.theta.T, work.w.T) if transposed else (work.w, work.theta)
-            g = y @ y.T
-            # p = a @ y.T; for tall a, BLAS forms (y @ a.T).T faster and in less memory.
-            return x, (y @ a.T).T, g, dead_eps * float(g.diagonal().max())
+    k = f.k
+    wt = np.empty((2 * k, f.w.shape[0]))
+    th = np.empty((2 * k, f.theta.shape[1]))
+    wt[:k] = f.w.T
+    th[:k] = f.theta
+    neg_eye = -np.eye(k)
 
-        x, p, g, floor = products()
-        for l in range(work.k):
-            if g[l, l] <= floor:
+    def current() -> Factorization:
+        return Factorization(wt[:k].T, th[:k])
+
+    for z, y, fill in (
+        # y @ t.T runs faster with y copied to column order first.
+        (wt, th[:k], lambda: np.matmul(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
+        (th, wt[:k], lambda: np.matmul(wt[:k], t, out=th[k:])),
+    ):
+        def products():
+            fill()
+            g = y @ y.T
+            diag = g.diagonal().tolist()
+            floor = dead_eps * max(diag)
+            # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
+            h = np.concatenate((g, neg_eye), axis=1)
+            h /= np.array([-d if d > floor else -np.inf for d in diag])[:, None]
+            h.flat[:: 2 * k + 1] = 0.0
+            return h, [d <= floor for d in diag]
+
+        h, dead = products()
+        for l in range(k):
+            if dead[l]:
                 if on_dead is None:
                     raise NumericalError(f"component {l} is dead")
-                work = on_dead(work, l)
-                x, p, g, floor = products()
-                if g[l, l] <= floor:
+                revived = on_dead(current(), l)
+                wt[:k] = revived.w.T
+                th[:k] = revived.theta
+                h, dead = products()
+                if dead[l]:
                     continue  # revival found no usable residual; leave it idle
-            x[:, l] = np.maximum(0.0, x[:, l] + (p[:, l] - x @ g[:, l]) / g[l, l])
-    return work
+            np.maximum(h[l] @ z, 0.0, out=z[l])
+    return current()
 
 
 def revive_dead_component(
@@ -240,6 +273,7 @@ def solve(
         current = _cost(t, f)
         trace.costs.append(current)
         if abs(prev - current) / denom < config.rel_tol:
+            trace.stop_reason = "tol"
             break
         prev = current
 

@@ -219,6 +219,34 @@ class TestDecomposeCommand:
         assert code == 3
         assert not any(out.iterdir())
 
+    def test_failure_leaves_previous_outputs_untouched(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        code, out = run_decompose(tmp_path, dataset, "d", "--init", "random", "--seed", "1")
+        assert code == 0
+        names = ["report.txt", "theta.csv", "trace.csv", "w.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        before = {name: (out / name).read_bytes() for name in names}
+        siblings = sorted(p.name for p in tmp_path.iterdir())
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_trace_csv", boom)
+        # Another seed, so files the failed run wrote would differ.
+        code, _ = run_decompose(tmp_path, dataset, "d", "--init", "random", "--seed", "2")
+        assert code == 3
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == siblings
+
+    def test_report_names_stop_reason_after_iterations(self, tmp_path, dataset):
+        code, out = run_decompose(tmp_path, dataset, "r", "--max-iters", "3", "--tol", "0")
+        assert code == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        at = lines.index("iterations = 3")
+        assert lines[at + 1] == "stop_reason = max_iters"
+
     def test_config_file_with_cli_override(self, tmp_path, dataset):
         config = tmp_path / "run.conf"
         config.write_text(

@@ -1,8 +1,11 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsnmf import (
     ComponentSpec,
@@ -17,6 +20,7 @@ from tsnmf import (
     cost,
     generate,
     hals_sweep,
+    knowledge_init,
     nndsvd_init,
     noise_sigma_for_range,
     normalize,
@@ -28,6 +32,8 @@ from tsnmf import (
 from tsnmf.cli import build_init
 from tsnmf.dataio import TimeSeriesSet
 from tsnmf.initialization import BATH_PULSE, COOLING, HEATING
+
+from test_acceptance import GRID, INIT_SPECS, RECOVERY_COMPONENTS, planted_dataset
 
 
 def random_problem(seed, n=20, m=32, k=4):
@@ -88,6 +94,19 @@ class TestCost:
         f = Factorization(np.ones((3, 1)), np.ones((1, 2)))
         with pytest.raises(ShapeError):
             cost(np.ones((2, 2)), f)
+
+    @pytest.mark.parametrize("tiles", [1, 20], ids=["540x32", "10800x32"])
+    def test_matches_exactly_rounded_sum(self, tiles):
+        # The acceptance data's converged fit, tiled by rows. Its residual is
+        # small next to the data, where a Gram-identity cost is off by 2e-12.
+        t = planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy
+        init = knowledge_init(t, GRID, INIT_SPECS)
+        fit, _ = solve(t, (init.w_init, init.theta_init))
+        t = np.tile(t, (tiles, 1))
+        f = Factorization(np.tile(fit.w, (tiles, 1)), fit.theta)
+        r = t - f.w @ f.theta
+        reference = math.fsum((r * r).ravel().tolist())
+        assert abs(cost(t, f) - reference) <= 1e-13 * reference
 
 
 def nnls_oracle_sweep(t, w, th):
@@ -200,6 +219,54 @@ class TestHalsSweep:
             hals_sweep(t, Factorization(w, th))
 
 
+@st.composite
+def clamping_problems(draw):
+    """A random problem with 1 <= k <= min(n, m) <= 6 whose data has a zeroed
+    block, so that some updates clamp at zero."""
+    short = draw(st.integers(1, 6))
+    long = draw(st.integers(short, 12))
+    n, m = (short, long) if draw(st.booleans()) else (long, short)
+    k = draw(st.integers(1, short))
+    t, w0, th0 = random_problem(draw(st.integers(0, 2**32 - 1)), n, m, k)
+    r0 = draw(st.integers(0, n - 1))
+    c0 = draw(st.integers(0, m - 1))
+    t[r0 : draw(st.integers(r0 + 1, n)), c0 : draw(st.integers(c0 + 1, m))] = 0.0
+    return t, Factorization(w0, th0)
+
+
+class TestHalsSweepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=clamping_problems())
+    def test_matches_scalar_nnls_oracle(self, problem):
+        t, f = problem
+        try:
+            out = hals_sweep(t, f)
+        except NumericalError:
+            assume(False)  # a whole column clamped; the oracle would divide by 0
+        w, th = nnls_oracle_sweep(t, f.w, f.theta)
+        assert np.abs(out.w - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+        assert np.abs(out.theta - th).max() <= 1e-12 * max(1.0, np.abs(th).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=clamping_problems())
+    def test_cost_never_rises(self, problem):
+        t, f = problem
+        rng = np.random.default_rng(0)
+        out = hals_sweep(t, f, on_dead=lambda fact, l: revive_dead_component(t, fact, l, rng))
+        before = cost(t, f)
+        assert cost(t, out) <= before + 1e-12 * before
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=clamping_problems())
+    def test_input_factorization_is_left_alone(self, problem):
+        t, f = problem
+        w, th = f.w.copy(), f.theta.copy()
+        rng = np.random.default_rng(0)
+        hals_sweep(t, f, on_dead=lambda fact, l: revive_dead_component(t, fact, l, rng))
+        assert f.w.tobytes() == w.tobytes()
+        assert f.theta.tobytes() == th.tobytes()
+
+
 class TestRevive:
     def test_reseeds_from_largest_residual_row(self):
         t = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -238,6 +305,20 @@ class TestSolve:
         t, w0, th0 = random_problem(3, n=10, m=8, k=2)
         _, trace = solve(t, (w0, th0), SolverConfig(max_iters=5, rel_tol=0.0))
         assert len(trace.costs) == 5
+
+    def test_stop_reason(self):
+        # An exact rank-one problem stalls at once; the acceptance data with
+        # knowledge init never meets the default tolerance in 500 sweeps.
+        w = np.array([[1.0], [2.0], [3.0]])
+        th = np.array([[1.0, 0.5, 2.0, 1.0]])
+        _, trace = solve(w @ th, (np.ones((3, 1)), np.ones((1, 4))))
+        assert trace.stop_reason == "tol"
+        assert len(trace.costs) < SolverConfig.max_iters
+        t = planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy
+        init = knowledge_init(t, GRID, INIT_SPECS)
+        _, trace = solve(t, (init.w_init, init.theta_init))
+        assert trace.stop_reason == "max_iters"
+        assert len(trace.costs) == SolverConfig.max_iters
 
     def test_negative_data_rejected_with_coordinates(self):
         t = np.ones((3, 3))
