@@ -60,33 +60,6 @@ STRATEGIES = ("knowledge", "nndsvd", "random")
 
 
 @dataclass
-class RunConfig:
-    """Resolved options for one decompose run."""
-
-    input: str
-    out: str
-    k: int
-    init: str
-    components: str | None = None
-    seed: int = 0
-    tol: float = SolverConfig.rel_tol
-    max_iters: int = SolverConfig.max_iters
-    dt: float | None = None
-    normalize: bool = False
-    plots: bool = False
-
-    def __post_init__(self):
-        if not self.input or not self.out:
-            raise ValidationError("input and output paths must be non-empty")
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.init not in STRATEGIES:
-            raise ValidationError(
-                f"unknown init strategy {self.init!r}, expected one of {STRATEGIES}"
-            )
-
-
-@dataclass
 class Report:
     """Summary of one decompose run."""
 
@@ -142,12 +115,7 @@ class _Outputs:
 
 def default_component_specs(k: int) -> list[ComponentSpec]:
     """The stock curve set (mean, cooling, bath pulse, heating), truncated to k."""
-    stock = [
-        ComponentSpec(MEAN),
-        ComponentSpec(COOLING),
-        ComponentSpec(BATH_PULSE),
-        ComponentSpec(HEATING),
-    ]
+    stock = [ComponentSpec(kind) for kind in (MEAN, COOLING, BATH_PULSE, HEATING)]
     if k > len(stock):
         raise ValidationError(
             f"no default curve set for k = {k}; pass --components with {k} entries"
@@ -178,8 +146,19 @@ def build_init(
     return knowledge_init(data.values, data.grid, specs)
 
 
-def run_decompose(cfg: RunConfig) -> Report:
-    """Ingest, initialize, solve, and write the factor/report files."""
+def run_decompose(cfg: argparse.Namespace) -> Report:
+    """Ingest, initialize, solve, and write the factor/report files.
+
+    ``cfg`` holds every decompose option of :data:`OPTIONS`.
+    """
+    if not cfg.input or not cfg.out:
+        raise ValidationError("input and output paths must be non-empty")
+    if cfg.k < 1:
+        raise ValidationError(f"k must be >= 1, got {cfg.k}")
+    if cfg.init not in STRATEGIES:
+        raise ValidationError(
+            f"unknown init strategy {cfg.init!r}, expected one of {STRATEGIES}"
+        )
     data = ingest_csv(cfg.input, dt=cfg.dt)
     init = build_init(cfg.init, data, cfg.k, cfg.components, cfg.seed)
     solver = SolverConfig(max_iters=cfg.max_iters, rel_tol=cfg.tol)
@@ -200,7 +179,7 @@ def run_decompose(cfg: RunConfig) -> Report:
         write_matrix_csv(outputs.path("w.csv"), factors.w)
         write_trace_csv(outputs.path("trace.csv"), trace.costs)
         report = Report(
-            files=list(outputs.written),
+            files=outputs.written,
             final_cost=trace.costs[-1],
             iterations=len(trace.costs),
             stop_reason=trace.stop_reason,
@@ -212,11 +191,12 @@ def run_decompose(cfg: RunConfig) -> Report:
         _write_report(outputs.path("report.txt"), cfg, init, report)
         if cfg.plots:
             _write_decompose_plots(outputs, data, factors, trace.costs)
-        report.files = list(outputs.written)
     return report
 
 
-def _write_report(path: str, cfg: RunConfig, init: InitResult, report: Report) -> None:
+def _write_report(
+    path: str, cfg: argparse.Namespace, init: InitResult, report: Report
+) -> None:
     lines = [
         f"input = {cfg.input}",
         f"k = {cfg.k}",
@@ -298,9 +278,9 @@ def run_compare_inits(
 ) -> dict:
     """Solve with each strategy and tabulate per-iteration costs.
 
-    The random column is the per-iteration median over ``n_seeds`` seeded
-    runs; its iterations-to-threshold figure is the median of the per-seed
-    figures. Returns the summary dict that also lands in report.txt.
+    Each column is the per-iteration median over the strategy's runs: seeds
+    0..n_seeds-1 for random, seed 0 otherwise. The random iterations figure is
+    the per-seed median. Returns the summary dict that also lands in report.txt.
     """
     if n_seeds < 1:
         raise ValidationError(f"need at least one random seed, got {n_seeds}")
@@ -313,40 +293,30 @@ def run_compare_inits(
             raise ValidationError(
                 f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
             )
+        traces = []
+        for seed in range(n_seeds) if strategy == "random" else [0]:
+            init = build_init(strategy, data, k, components, seed)
+            _, trace = solve(
+                data.values,
+                (init.w_init, init.theta_init),
+                solver,
+                rng=np.random.default_rng(seed),
+            )
+            traces.append(trace.costs)
+        iters = [iterations_to_within(costs) for costs in traces]
+        longest = max(len(t) for t in traces)
+        stacked = np.array([_padded(t, longest) for t in traces])
+        columns[strategy] = [float(v) for v in np.median(stacked, axis=0)]
         if strategy == "random":
-            traces = []
-            iters = []
-            for seed in range(n_seeds):
-                init = random_init(data.values, k, seed)
-                _, trace = solve(
-                    data.values,
-                    (init.w_init, init.theta_init),
-                    solver,
-                    rng=np.random.default_rng(seed),
-                )
-                traces.append(trace.costs)
-                iters.append(iterations_to_within(trace.costs))
-            longest = max(len(t) for t in traces)
-            stacked = np.array([_padded(t, longest) for t in traces])
-            median = np.median(stacked, axis=0)
-            columns[strategy] = [float(v) for v in median]
             summary[strategy] = {
                 "iterations_to_1pct": float(np.median(iters)),
                 "final_cost": float(np.median(stacked[:, -1])),
                 "seeds": n_seeds,
             }
         else:
-            init = build_init(strategy, data, k, components, 0)
-            _, trace = solve(
-                data.values,
-                (init.w_init, init.theta_init),
-                solver,
-                rng=np.random.default_rng(0),
-            )
-            columns[strategy] = trace.costs
             summary[strategy] = {
-                "iterations_to_1pct": iterations_to_within(trace.costs),
-                "final_cost": trace.costs[-1],
+                "iterations_to_1pct": iters[0],
+                "final_cost": traces[0][-1],
             }
 
     with _Outputs(out_dir) as outputs:
@@ -364,13 +334,11 @@ def run_compare_inits(
             y_label="cost",
             log_y=True,
         )
-        lines = []
-        for name in names:
-            info = summary[name]
-            lines.append(
-                f"{name}: iterations_to_1pct = {info['iterations_to_1pct']}, "
-                f"final_cost = {format_number(info['final_cost'])}"
-            )
+        lines = [
+            f"{name}: iterations_to_1pct = {summary[name]['iterations_to_1pct']}, "
+            f"final_cost = {format_number(summary[name]['final_cost'])}"
+            for name in names
+        ]
         with open(outputs.path("report.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return summary
@@ -414,25 +382,37 @@ def run_score(recovered_dir: str, truth_dir: str, out_dir: str) -> None:
 
 # --- argument parsing ------------------------------------------------------
 
-_CONFIG_TYPES = {
-    "input": str,
-    "out": str,
-    "k": int,
-    "init": str,
-    "components": str,
-    "seed": int,
-    "tol": float,
-    "max_iters": int,
-    "dt": float,
-    "normalize": bool,
-    "plots": bool,
-    "seeds": int,
-    "strategies": str,
-}
+_DEC, _CMP = ("decompose",), ("compare-inits",)
+_BOTH = _DEC + _CMP
+# One row per decompose/compare-inits option: name, type (a tuple of strings
+# is a choice list), default, help text and the commands that take it. The
+# parser, the config-file reader and the defaults all come from here; row
+# order is --help order. Config files accept every key for both commands.
+OPTIONS = (
+    ("input", str, None, "dataset CSV path", _BOTH),
+    ("k", int, None, "number of components", _BOTH),
+    ("init", STRATEGIES, None, "initialization strategy", _DEC),
+    ("seeds", int, 20, "random seeds (default 20)", _CMP),
+    ("strategies", str, ",".join(STRATEGIES),
+     "comma-separated subset of knowledge,nndsvd,random", _CMP),
+    ("components", str, None, "component spec file (knowledge init)", _BOTH),
+    ("seed", int, 0, "seed for random init and revival", _DEC),
+    ("tol", float, SolverConfig.rel_tol, "relative cost-change stop threshold", _BOTH),
+    ("max_iters", int, SolverConfig.max_iters, "iteration cap", _BOTH),
+    ("dt", float, None, "sampling step when no time header", _BOTH),
+    ("normalize", bool, False, "L1-normalize theta rows after solving", _DEC),
+    ("plots", bool, False, "emit theta.svg, w.svg, trace.svg", _DEC),
+    ("out", str, None, "output directory", _BOTH),
+)
+_REQUIRED = ("input", "out", "k", "init")  # in the order a missing one is named
+_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(
+    ("false", "0", "no", "off"), False
+)
 
 
 def _parse_config_file(path: str) -> dict:
     """Read ``key = value`` lines (with # comments) into typed options."""
+    types = {name: str if isinstance(t, tuple) else t for name, t, *_ in OPTIONS}
     options: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -446,42 +426,37 @@ def _parse_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().lower().replace("-", "_")
             value = value.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ValidationError(f"{path}:{line_no}: unknown option {key!r}")
-            typ = _CONFIG_TYPES[key]
-            if typ is bool:
-                lowered = value.lower()
-                if lowered in ("true", "1", "yes", "on"):
-                    options[key] = True
-                elif lowered in ("false", "0", "no", "off"):
-                    options[key] = False
-                else:
-                    raise ValidationError(
-                        f"{path}:{line_no}: expected a boolean for {key!r}, got {value!r}"
-                    )
-            else:
-                try:
-                    options[key] = typ(value)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{line_no}: bad value for {key!r}: {value!r}"
-                    ) from None
+            typ = types[key]
+            if typ is bool and value.lower() not in _BOOLEANS:
+                raise ValidationError(
+                    f"{path}:{line_no}: expected a boolean for {key!r}, got {value!r}"
+                )
+            try:
+                options[key] = _BOOLEANS[value.lower()] if typ is bool else typ(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{line_no}: bad value for {key!r}: {value!r}"
+                ) from None
     return options
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flags override config-file entries override defaults."""
-    config = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """The options of ``args.command``: CLI flags override config-file
+    entries override defaults."""
+    config = _parse_config_file(args.config) if args.config else {}
     merged = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = default
-    return merged
+    for name, _, default, _, commands in OPTIONS:
+        if args.command in commands:
+            flag = getattr(args, name)
+            merged[name] = config.get(name, default) if flag is None else flag
+    missing = [key for key in _REQUIRED if key in merged and merged[key] is None]
+    if missing:
+        raise ValidationError(
+            "missing required option(s): " + ", ".join(f"--{m}" for m in missing)
+        )
+    return argparse.Namespace(**merged)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,24 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="factor a dataset CSV")
-    dec.add_argument("--input", help="dataset CSV path")
-    dec.add_argument("--k", type=int, help="number of components")
-    dec.add_argument("--init", choices=STRATEGIES, help="initialization strategy")
-    dec.add_argument("--components", help="component spec file (knowledge init)")
-    dec.add_argument("--seed", type=int, help="seed for random init and revival")
-    dec.add_argument("--tol", type=float, help="relative cost-change stop threshold")
-    dec.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
-    dec.add_argument("--dt", type=float, help="sampling step when no time header")
-    dec.add_argument(
-        "--normalize", action="store_const", const=True, default=None,
-        help="L1-normalize theta rows after solving",
-    )
-    dec.add_argument(
-        "--plots", action="store_const", const=True, default=None,
-        help="emit theta.svg, w.svg, trace.svg",
-    )
-    dec.add_argument("--out", help="output directory")
-    dec.add_argument("--config", help="key = value config file")
     dec.set_defaults(func=_cmd_decompose)
 
     syn = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -519,19 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     syn.set_defaults(func=_cmd_synth)
 
     cmp_ = sub.add_parser("compare-inits", help="benchmark initializations")
-    cmp_.add_argument("--input", help="dataset CSV path")
-    cmp_.add_argument("--k", type=int, help="number of components")
-    cmp_.add_argument("--seeds", type=int, help="random seeds (default 20)")
-    cmp_.add_argument(
-        "--strategies", help="comma-separated subset of knowledge,nndsvd,random"
-    )
-    cmp_.add_argument("--components", help="component spec file (knowledge init)")
-    cmp_.add_argument("--tol", type=float, help="relative cost-change stop threshold")
-    cmp_.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
-    cmp_.add_argument("--dt", type=float, help="sampling step when no time header")
-    cmp_.add_argument("--out", help="output directory")
-    cmp_.add_argument("--config", help="key = value config file")
     cmp_.set_defaults(func=_cmd_compare)
+
+    for command, cmd_parser in (("decompose", dec), ("compare-inits", cmp_)):
+        for name, typ, _, help_text, commands in OPTIONS:
+            if command not in commands:
+                continue
+            if typ is bool:
+                kind = {"action": "store_const", "const": True}
+            elif isinstance(typ, tuple):
+                kind = {"choices": typ}
+            else:
+                kind = {"type": typ}
+            cmd_parser.add_argument(
+                "--" + name.replace("_", "-"), help=help_text, **kind
+            )
+        cmd_parser.add_argument("--config", help="key = value config file")
 
     sco = sub.add_parser("score", help="score recovered factors against truth")
     sco.add_argument("--recovered", required=True, help="directory with theta.csv, w.csv")
@@ -543,35 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(merged: dict, keys: tuple[str, ...]) -> None:
-    missing = [k for k in keys if merged.get(k) is None]
-    if missing:
-        raise ValidationError(
-            "missing required option(s): " + ", ".join(f"--{m}" for m in missing)
-        )
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    merged = _merge(
-        args,
-        {
-            "input": None,
-            "out": None,
-            "k": None,
-            "init": None,
-            "components": None,
-            "seed": 0,
-            "tol": SolverConfig.rel_tol,
-            "max_iters": SolverConfig.max_iters,
-            "dt": None,
-            "normalize": False,
-            "plots": False,
-        },
-    )
-    _require(merged, ("input", "out", "k", "init"))
-    report = run_decompose(RunConfig(**merged))
+    cfg = _merge(args)
+    report = run_decompose(cfg)
     print(
-        f"decomposed {merged['input']} with k={merged['k']} ({merged['init']}): "
+        f"decomposed {cfg.input} with k={cfg.k} ({cfg.init}): "
         f"final cost {format_number(report.final_cost)} "
         f"after {report.iterations} iteration(s)"
     )
@@ -591,36 +527,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    merged = _merge(
-        args,
-        {
-            "input": None,
-            "out": None,
-            "k": None,
-            "components": None,
-            "seeds": 20,
-            "strategies": ",".join(STRATEGIES),
-            "tol": SolverConfig.rel_tol,
-            "max_iters": SolverConfig.max_iters,
-            "dt": None,
-        },
-    )
-    _require(merged, ("input", "out", "k"))
-    strategies = tuple(
-        s.strip() for s in merged["strategies"].split(",") if s.strip()
-    )
+    cfg = _merge(args)
+    strategies = tuple(s.strip() for s in cfg.strategies.split(",") if s.strip())
     if not strategies:
         raise ValidationError("no strategies requested")
-    data = ingest_csv(merged["input"], dt=merged["dt"])
+    data = ingest_csv(cfg.input, dt=cfg.dt)
     summary = run_compare_inits(
         data,
-        merged["k"],
-        merged["out"],
+        cfg.k,
+        cfg.out,
         strategies=strategies,
-        components=merged["components"],
-        n_seeds=merged["seeds"],
-        tol=merged["tol"],
-        max_iters=merged["max_iters"],
+        components=cfg.components,
+        n_seeds=cfg.seeds,
+        tol=cfg.tol,
+        max_iters=cfg.max_iters,
     )
     for name, info in summary.items():
         print(f"{name}: iterations to within 1% of final = {info['iterations_to_1pct']}")

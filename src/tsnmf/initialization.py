@@ -49,6 +49,8 @@ def time_vector(m: int, dt: float) -> TimeGrid:
         raise ValidationError(f"need at least one sample, got m = {m}")
     if dt <= 0.0:
         raise ValidationError(f"time step must be positive, got dt = {dt}")
+    if not np.isfinite(dt):
+        raise ValidationError(f"time step must be finite, got dt = {dt}")
     values = dt * np.arange(m, dtype=float)
     values.setflags(write=False)
     return TimeGrid(m=m, dt=float(dt), values=values)

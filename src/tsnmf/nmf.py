@@ -74,9 +74,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol < 0.0:
+        if not self.rel_tol >= 0.0:
             raise ValidationError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if self.dead_component_eps <= 0.0:
+        if not self.dead_component_eps > 0.0:
             raise ValidationError(
                 f"dead_component_eps must be > 0, got {self.dead_component_eps}"
             )

@@ -198,6 +198,10 @@ def match_components(recovered: Factorization, truth: GroundTruth) -> MatchRepor
         )
     if k > 8:
         raise ValidationError(f"exhaustive matching limited to K <= 8, got {k}")
+    shape = (recovered.w.shape[0], recovered.theta.shape[1])
+    true_shape = (truth.w_true.shape[0], truth.theta_true.shape[1])
+    if shape != true_shape:
+        raise ValidationError(f"N x M mismatch: recovered {shape}, truth {true_shape}")
 
     cos = np.array(
         [

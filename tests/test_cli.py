@@ -326,6 +326,38 @@ class TestDecomposeCommand:
             assert not (out / name).exists()
 
 
+@pytest.mark.parametrize(
+    "command,shared,flag_only",
+    [
+        ("decompose", ["--init", "random", "--seed", "4"], ["--normalize"]),
+        ("compare-inits", ["--strategies", "nndsvd,random", "--seeds", "2"], []),
+    ],
+)
+def test_config_entries_match_flags(tmp_path, dataset, command, shared, flag_only):
+    """A config-file entry acts as its flag, a flag overrides the entry, and
+    booleans may be written on/off (keys of the other command are ignored)."""
+    data = str(dataset / "dataset.csv")
+    flags = ["--input", data, "--k", "2", "--max-iters", "6", "--tol", "0"]
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"input = {data}\nk = 2\nmax-iters = 6\ntol = 0\nnormalize = on\nplots = off\n"
+    )
+    override = tmp_path / "override.conf"
+    override.write_text(f"input = {data}\nk = 3\nmax_iters = 40\ntol = 0.5\n")
+    runs = {
+        "flags": [*flags, *flag_only],
+        "config": ["--config", str(config)],
+        "override": ["--config", str(override), *flags, *flag_only],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert cli.main([command, *shared, *argv, "--out", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["config"] == outputs["flags"]
+    assert outputs["override"] == outputs["flags"]
+
+
 class TestCompareInitsCommand:
     def test_all_strategies(self, tmp_path, dataset):
         comp = tmp_path / "components.txt"
@@ -439,6 +471,22 @@ class TestScoreCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("name,shape", [("theta.csv", (3, 30)), ("w.csv", (50, 3))])
+    def test_shape_mismatch_exits_2(self, tmp_path, dataset, capsys, name, shape):
+        from tsnmf.dataio import write_matrix_csv
+
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        write_matrix_csv(rec / "w.csv", read_matrix_csv(dataset / "truth_w.csv"))
+        write_matrix_csv(rec / "theta.csv", read_matrix_csv(dataset / "truth_theta.csv"))
+        write_matrix_csv(rec / name, np.ones(shape))
+        code = cli.main(
+            ["score", "--recovered", str(rec), "--truth", str(dataset), "--out", str(rec)]
+        )
+        assert code == 2
+        assert "mismatch" in capsys.readouterr().err
+        assert not (rec / "match.csv").exists()
 
 
 class TestHelpers:

@@ -37,7 +37,9 @@ class TestTimeVector:
         grid = time_vector(10, 0.25)
         assert np.all(np.diff(grid.values) > 0)
 
-    @pytest.mark.parametrize("m,dt", [(0, 1.0), (3, 0.0), (3, -1.0)])
+    @pytest.mark.parametrize(
+        "m,dt", [(0, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")), (3, float("inf"))]
+    )
     def test_invalid_inputs(self, m, dt):
         with pytest.raises(ValidationError):
             time_vector(m, dt)

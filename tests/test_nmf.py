@@ -437,6 +437,10 @@ def test_solver_config_validation():
         SolverConfig(rel_tol=-1.0)
     with pytest.raises(ValidationError):
         SolverConfig(dead_component_eps=0.0)
+    with pytest.raises(ValidationError, match="rel_tol"):
+        SolverConfig(rel_tol=float("nan"))
+    with pytest.raises(ValidationError, match="dead_component_eps"):
+        SolverConfig(dead_component_eps=float("nan"))
 
 
 def test_factorization_rank_property():

@@ -221,6 +221,12 @@ class TestMatchComponents:
         with pytest.raises(ValidationError, match="mismatch"):
             match_components(rec, self.truth)
 
+    @pytest.mark.parametrize("n,m", [(60, 30), (50, 32)])
+    def test_shape_mismatch_rejected(self, n, m):
+        rec = Factorization(np.ones((n, 3)), np.ones((3, m)))
+        with pytest.raises(ValidationError, match=rf"\({n}, {m}\).*\(60, 32\)"):
+            match_components(rec, self.truth)
+
     def test_total_score_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(11)
         rec = Factorization(rng.random((60, 3)), rng.random((3, 32)))
