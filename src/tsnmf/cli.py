@@ -22,7 +22,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,20 +56,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 STRATEGIES = ("knowledge", "nndsvd", "random")
-
-
-@dataclass
-class Report:
-    """Summary of one decompose run."""
-
-    files: list[str]
-    final_cost: float
-    iterations: int
-    stop_reason: str
-    clamped: int
-    revives: list[tuple[int, int]]
-    l1_norms_before: list[float]
-    zero_rows: list[int]
 
 
 class _Outputs:
@@ -146,11 +131,9 @@ def build_init(
     return knowledge_init(data.values, data.grid, specs)
 
 
-def run_decompose(cfg: argparse.Namespace) -> Report:
-    """Ingest, initialize, solve, and write the factor/report files.
-
-    ``cfg`` holds every decompose option of :data:`OPTIONS`.
-    """
+def run_decompose(args: argparse.Namespace) -> int:
+    """Ingest, initialize, solve, and write the factor/report files."""
+    cfg = _merge(args)
     if not cfg.input or not cfg.out:
         raise ValidationError("input and output paths must be non-empty")
     if cfg.k < 1:
@@ -159,6 +142,8 @@ def run_decompose(cfg: argparse.Namespace) -> Report:
         raise ValidationError(
             f"unknown init strategy {cfg.init!r}, expected one of {STRATEGIES}"
         )
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
     data = ingest_csv(cfg.input, dt=cfg.dt)
     init = build_init(cfg.init, data, cfg.k, cfg.components, cfg.seed)
     solver = SolverConfig(max_iters=cfg.max_iters, rel_tol=cfg.tol)
@@ -170,7 +155,21 @@ def run_decompose(cfg: argparse.Namespace) -> Report:
     )
 
     l1_before = np.sum(np.abs(factors.theta), axis=1)
-    zero_rows = np.flatnonzero(l1_before == 0.0).tolist()
+    final_cost = format_number(trace.costs[-1])
+    lines = [
+        f"input = {cfg.input}",
+        f"k = {cfg.k}",
+        f"init = {init.strategy_tag}",
+        f"normalize = {str(cfg.normalize).lower()}",
+        f"iterations = {len(trace.costs)}",
+        f"stop_reason = {trace.stop_reason}",
+        f"final_cost = {final_cost}",
+        f"clamped_init_entries = {int(init.diagnostics.get('clamped', 0))}",
+        f"revived_components = {trace.revives}",
+        "theta_l1_norms_before_normalization = "
+        + ", ".join(map(format_number, l1_before)),
+        f"zero_theta_rows = {np.flatnonzero(l1_before == 0.0).tolist()}",
+    ]
     if cfg.normalize:
         factors = normalize(factors)
 
@@ -178,41 +177,17 @@ def run_decompose(cfg: argparse.Namespace) -> Report:
         write_matrix_csv(outputs.path("theta.csv"), factors.theta)
         write_matrix_csv(outputs.path("w.csv"), factors.w)
         write_trace_csv(outputs.path("trace.csv"), trace.costs)
-        report = Report(
-            files=outputs.written,
-            final_cost=trace.costs[-1],
-            iterations=len(trace.costs),
-            stop_reason=trace.stop_reason,
-            clamped=int(init.diagnostics.get("clamped", 0)),
-            revives=list(trace.revives),
-            l1_norms_before=[float(v) for v in l1_before],
-            zero_rows=zero_rows,
-        )
-        _write_report(outputs.path("report.txt"), cfg, init, report)
+        with open(outputs.path("report.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
         if cfg.plots:
             _write_decompose_plots(outputs, data, factors, trace.costs)
-    return report
-
-
-def _write_report(
-    path: str, cfg: argparse.Namespace, init: InitResult, report: Report
-) -> None:
-    lines = [
-        f"input = {cfg.input}",
-        f"k = {cfg.k}",
-        f"init = {init.strategy_tag}",
-        f"normalize = {str(cfg.normalize).lower()}",
-        f"iterations = {report.iterations}",
-        f"stop_reason = {report.stop_reason}",
-        f"final_cost = {format_number(report.final_cost)}",
-        f"clamped_init_entries = {report.clamped}",
-        f"revived_components = {report.revives if report.revives else '[]'}",
-        "theta_l1_norms_before_normalization = "
-        + ", ".join(format_number(v) for v in report.l1_norms_before),
-        f"zero_theta_rows = {report.zero_rows if report.zero_rows else '[]'}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    print(
+        f"decomposed {cfg.input} with k={cfg.k} ({cfg.init}): "
+        f"final cost {final_cost} after {len(trace.costs)} iteration(s)"
+    )
+    for path in outputs.written:
+        print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _write_decompose_plots(
@@ -284,15 +259,18 @@ def run_compare_inits(
     """
     if n_seeds < 1:
         raise ValidationError(f"need at least one random seed, got {n_seeds}")
+    for i, strategy in enumerate(strategies):
+        if strategy not in STRATEGIES:
+            raise ValidationError(
+                f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
+            )
+        if strategy in strategies[:i]:
+            raise ValidationError(f"strategy {strategy!r} requested twice")
     solver = SolverConfig(max_iters=max_iters, rel_tol=tol)
 
     columns: dict[str, list[float]] = {}
     summary: dict[str, dict] = {}
     for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise ValidationError(
-                f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
-            )
         traces = []
         for seed in range(n_seeds) if strategy == "random" else [0]:
             init = build_init(strategy, data, k, components, seed)
@@ -344,33 +322,38 @@ def run_compare_inits(
     return summary
 
 
-def run_synth(spec_path: str, out_dir: str) -> GroundTruth:
+def run_synth(args: argparse.Namespace) -> int:
     """Generate a dataset plus its planted factors from a spec file."""
-    with open(spec_path, "r", encoding="utf-8") as fh:
+    with open(args.spec, "r", encoding="utf-8") as fh:
         parsed = parse_synthetic_spec(fh.read())
     spec, truth = build_ground_truth(parsed)
-    with _Outputs(out_dir) as outputs:
+    with _Outputs(args.out) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), truth.t_noisy, grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), truth.w_true)
         write_matrix_csv(outputs.path("truth_theta.csv"), truth.theta_true)
-    return truth
+    n, m = truth.t_noisy.shape
+    print(
+        f"wrote {n}x{m} dataset with {truth.theta_true.shape[0]} components "
+        f"to {args.out} ({truth.noise_clamps} noise clamp(s))"
+    )
+    return EXIT_OK
 
 
-def run_score(recovered_dir: str, truth_dir: str, out_dir: str) -> None:
+def run_score(args: argparse.Namespace) -> int:
     """Match recovered factors against planted truth and write match.csv."""
     recovered = Factorization(
-        w=read_matrix_csv(os.path.join(recovered_dir, "w.csv")),
-        theta=read_matrix_csv(os.path.join(recovered_dir, "theta.csv")),
+        w=read_matrix_csv(os.path.join(args.recovered, "w.csv")),
+        theta=read_matrix_csv(os.path.join(args.recovered, "theta.csv")),
     )
-    w_true = read_matrix_csv(os.path.join(truth_dir, "truth_w.csv"))
-    theta_true = read_matrix_csv(os.path.join(truth_dir, "truth_theta.csv"))
+    w_true = read_matrix_csv(os.path.join(args.truth, "truth_w.csv"))
+    theta_true = read_matrix_csv(os.path.join(args.truth, "truth_theta.csv"))
     clean = w_true @ theta_true
     truth = GroundTruth(
         w_true=w_true, theta_true=theta_true, t_clean=clean, t_noisy=clean
     )
     report = match_components(recovered, truth)
 
-    with _Outputs(out_dir) as outputs:
+    with _Outputs(args.out) as outputs:
         with open(outputs.path("match.csv"), "w", encoding="utf-8") as fh:
             fh.write("recovered,true,cosine,weight_correlation\n")
             for i, j in enumerate(report.permutation):
@@ -378,6 +361,8 @@ def run_score(recovered_dir: str, truth_dir: str, out_dir: str) -> None:
                     f"{i + 1},{j + 1},{format_number(report.cosines[i])},"
                     f"{format_number(report.weight_correlations[i])}\n"
                 )
+    print(f"wrote {outputs.written[0]}")
+    return EXIT_OK
 
 
 # --- argument parsing ------------------------------------------------------
@@ -468,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="factor a dataset CSV")
-    dec.set_defaults(func=_cmd_decompose)
+    dec.set_defaults(func=run_decompose)
 
     syn = sub.add_parser("synth", help="generate a synthetic dataset")
     syn.add_argument("--spec", required=True, help="synthetic spec file")
     syn.add_argument("--out", required=True, help="output directory")
-    syn.set_defaults(func=_cmd_synth)
+    syn.set_defaults(func=run_synth)
 
     cmp_ = sub.add_parser("compare-inits", help="benchmark initializations")
     cmp_.set_defaults(func=_cmd_compare)
@@ -499,31 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truth", required=True, help="directory with truth_theta.csv, truth_w.csv"
     )
     sco.add_argument("--out", default=".", help="where to write match.csv")
-    sco.set_defaults(func=_cmd_score)
+    sco.set_defaults(func=run_score)
     return parser
-
-
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = _merge(args)
-    report = run_decompose(cfg)
-    print(
-        f"decomposed {cfg.input} with k={cfg.k} ({cfg.init}): "
-        f"final cost {format_number(report.final_cost)} "
-        f"after {report.iterations} iteration(s)"
-    )
-    for path in report.files:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    truth = run_synth(args.spec, args.out)
-    n, m = truth.t_noisy.shape
-    print(
-        f"wrote {n}x{m} dataset with {truth.theta_true.shape[0]} components "
-        f"to {args.out} ({truth.noise_clamps} noise clamp(s))"
-    )
-    return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -544,12 +506,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     for name, info in summary.items():
         print(f"{name}: iterations to within 1% of final = {info['iterations_to_1pct']}")
-    return EXIT_OK
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    run_score(args.recovered, args.truth, args.out)
-    print(f"wrote {os.path.join(args.out, 'match.csv')}")
     return EXIT_OK
 
 

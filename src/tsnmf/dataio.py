@@ -96,8 +96,11 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
     The sampling step comes from the ``t=...`` header when present, else
     from the ``dt`` argument, else defaults to 1.0 with a warning. Ragged
     rows, non-numeric cells, and negative values are validation errors that
-    name the offending line (and column).
+    name the offending line (and column). A bad ``dt`` is rejected even when
+    a header fixes the step.
     """
+    if dt is not None:
+        time_vector(1, float(dt))
     rows = _numbered_lines(path)
     if not rows:
         raise ValidationError(f"{path}: no data rows")

@@ -9,10 +9,10 @@ parameters fall back to grid-derived defaults.
 Synthetic spec file: the same component lines, each extended with a
 mandatory ``weights=MODEL:args`` clause, plus ``key=value`` directive
 lines. Directives: ``n`` (recordings), ``m`` (time points), ``dt``
-(seconds), ``seed``, and either ``noise`` (absolute Gaussian sigma) or
-``noise_rel`` (fraction of the clean data range). Weight models:
-``constant:VALUE``, ``drift:BASE,SLOPE``, ``periodic:BASE,AMP,PERIOD``,
-``walk:BASE,STEP``.
+(seconds), ``seed`` (``n``, ``m`` and ``seed`` integral, ``seed`` >= 0),
+and either ``noise`` (absolute Gaussian sigma) or ``noise_rel`` (fraction
+of the clean data range). Weight models: ``constant:VALUE``,
+``drift:BASE,SLOPE``, ``periodic:BASE,AMP,PERIOD``, ``walk:BASE,STEP``.
 """
 
 from __future__ import annotations
@@ -166,7 +166,13 @@ def parse_synthetic_spec(text: str) -> ParsedSyntheticSpec:
                     f"directive {key!r} already set on line {directive_lines[key]}",
                     line=line_no,
                 )
-            directives[key] = _parse_float(value.strip(), line_no, key)
+            number = directives[key] = _parse_float(value.strip(), line_no, key)
+            if key in ("n", "m", "seed") and not number.is_integer():
+                raise SpecFileError(
+                    f"{key} must be an integer, got {value!r}", line=line_no
+                )
+            if key == "seed" and number < 0:
+                raise SpecFileError(f"seed must be >= 0, got {value!r}", line=line_no)
             directive_lines[key] = line_no
             continue
         spec, weights_clause = _parse_component_tokens(tokens, line_no)

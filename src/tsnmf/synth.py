@@ -82,6 +82,8 @@ class SyntheticSpec:
             raise ValidationError(f"need at least one recording, got n = {self.n}")
         if self.noise_sigma < 0.0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not np.isfinite(self.noise_sigma):
+            raise ValidationError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if not self.components:
             raise ValidationError("need at least one planted component")
         if len(self.components) > min(self.n, self.grid.m):

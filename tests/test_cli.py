@@ -84,6 +84,28 @@ class TestSynthCommand:
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "weights=" in capsys.readouterr().err
 
+    def test_success_stdout(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SYNTH_SPEC.replace("noise_rel=0.01", "noise=0.0"))
+        out = tmp_path / "clean"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 60x32 dataset with 3 components to {out} (0 noise clamp(s))\n"
+        )
+
+    @pytest.mark.parametrize(
+        "noise,sigma",
+        [("noise=nan", "nan"), ("noise=inf", "inf"), ("noise_rel=nan", "nan")],
+    )
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise, sigma):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SYNTH_SPEC.replace("noise_rel=0.01", noise))
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise_sigma must be finite, got {sigma}\n"
+        assert not out.exists()
+
     def test_missing_spec_exits_3(self, tmp_path):
         code = cli.main(
             ["synth", "--spec", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]
@@ -171,6 +193,21 @@ class TestDecomposeCommand:
         assert code1 == 0 and code2 == 0
         for name in ("theta.csv", "w.csv", "trace.csv", "theta.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_success_stdout(self, tmp_path, dataset, capsys):
+        capsys.readouterr()
+        code, out = run_decompose(tmp_path, dataset, "so", "--plots")
+        assert code == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        report = dict(line.split(" = ", 1) for line in lines)
+        names = ["theta.csv", "w.csv", "trace.csv", "report.txt"]
+        names += ["theta.svg", "w.svg", "trace.svg"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"decomposed {dataset / 'dataset.csv'} with k=3 (nndsvd): "
+            f"final cost {report['final_cost']} "
+            f"after {report['iterations']} iteration(s)",
+            *(f"wrote {out / name}" for name in names),
+        ]
 
     def test_plots_emitted(self, tmp_path, dataset):
         code, out = run_decompose(tmp_path, dataset, "rp", "--plots")
@@ -271,6 +308,23 @@ class TestDecomposeCommand:
         config = tmp_path / "run.conf"
         config.write_text("k = lots\n")
         assert cli.main(["decompose", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_seed_exits_2(self, tmp_path, dataset, capsys, via_config):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -1\n")
+        extra = ["--config", str(config)] if via_config else ["--seed", "-1"]
+        code, out = run_decompose(tmp_path, dataset, "o", "--init", "random", *extra)
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_bad_dt_with_header_exits_2(self, tmp_path, dataset, capsys):
+        code, out = run_decompose(tmp_path, dataset, "o", "--dt", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: time step must be positive, got dt = -1.0\n"
+        )
 
     def test_missing_required_exits_2(self, capsys):
         assert cli.main(["decompose", "--k", "3"]) == 2
@@ -389,6 +443,22 @@ class TestCompareInitsCommand:
         assert (out / "convergence.svg").read_text().startswith("<svg")
         assert "iterations_to_1pct" in (out / "report.txt").read_text()
 
+    def test_success_stdout(self, tmp_path, dataset, capsys):
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        argv = ["--input", str(dataset / "dataset.csv"), "--k", "3", "--seeds", "2"]
+        argv += ["--strategies", "random,nndsvd", "--max-iters", "30"]
+        argv += ["--out", str(out)]
+        assert cli.main(["compare-inits", *argv]) == 0
+        expected = []
+        for line in (out / "report.txt").read_text().splitlines():
+            name, rest = line.split(": iterations_to_1pct = ")
+            expected.append(
+                f"{name}: iterations to within 1% of final = {rest.split(',')[0]}"
+            )
+        assert [line.split(":")[0] for line in expected] == ["random", "nndsvd"]
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_single_strategy_degenerates(self, tmp_path, dataset):
         out = tmp_path / "cmp1"
         code = cli.main(
@@ -429,6 +499,27 @@ class TestCompareInitsCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "strategies,message",
+        [
+            ("random,bogus", "unknown strategy 'bogus'"),
+            ("random,random", "strategy 'random' requested twice"),
+        ],
+    )
+    def test_bad_strategies_rejected_before_any_solve(
+        self, tmp_path, dataset, capsys, monkeypatch, strategies, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        argv = ["--input", str(dataset / "dataset.csv"), "--k", "3", "--seeds", "3"]
+        argv += ["--strategies", strategies, "--out", str(tmp_path / "x")]
+        assert cli.main(["compare-inits", *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestScoreCommand:
     def test_permuted_factors_recovered(self, tmp_path, dataset):
         from tsnmf.dataio import write_matrix_csv
@@ -451,6 +542,19 @@ class TestScoreCommand:
         assert pairs == [("1", "3"), ("2", "1"), ("3", "2")]
         cosines = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(abs(c - 1.0) <= 1e-12 for c in cosines)
+
+    def test_success_stdout(self, tmp_path, dataset, capsys):
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        for name in ("w.csv", "theta.csv"):
+            (rec / name).write_bytes((dataset / f"truth_{name}").read_bytes())
+        out = tmp_path / "scored"
+        capsys.readouterr()
+        code = cli.main(
+            ["score", "--recovered", str(rec), "--truth", str(dataset), "--out", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out / 'match.csv'}\n"
 
     def test_k_mismatch_exits_2(self, tmp_path, dataset):
         from tsnmf.dataio import write_matrix_csv

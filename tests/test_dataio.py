@@ -31,6 +31,26 @@ class TestIngest:
         assert ts.grid.dt == 5.0
         assert np.array_equal(ts.values, [[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "dt,message",
+        [
+            (-1.0, "time step must be positive, got dt = -1.0"),
+            (0.0, "time step must be positive, got dt = 0.0"),
+            (float("nan"), "time step must be finite, got dt = nan"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["t=0,t=5\n1,2\n", "1,2\n"])
+    def test_bad_dt_rejected_with_or_without_header(self, tmp_path, text, dt, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            ingest_csv(path, dt=dt)
+        assert str(info.value) == message
+
+    def test_bad_dt_checked_before_reading(self, tmp_path):
+        with pytest.raises(ValidationError, match="positive"):
+            ingest_csv(tmp_path / "missing.csv", dt=-1.0)
+
     def test_flag_used_without_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n")

@@ -105,6 +105,32 @@ class TestSyntheticSpecs:
         with pytest.raises(SpecFileError, match="sawtooth"):
             parse_synthetic_spec("n=5\nm=4\ndt=1.0\ncooling weights=sawtooth:1\n")
 
+    @pytest.mark.parametrize(
+        "directive,message",
+        [
+            ("n=60.9", "n must be an integer, got '60.9'"),
+            ("m=32.5", "m must be an integer, got '32.5'"),
+            ("n=nan", "n must be an integer, got 'nan'"),
+            ("n=1e400", "n must be an integer, got '1e400'"),
+            ("seed=2.5", "seed must be an integer, got '2.5'"),
+            ("seed=-1", "seed must be >= 0, got '-1'"),
+        ],
+    )
+    def test_non_integer_directive_names_line(self, directive, message):
+        lines = {"n": "n=5", "m": "m=4", "dt": "dt=1.0", "seed": "seed=0"}
+        key = directive.split("=")[0]
+        lines[key] = directive
+        text = "\n".join([*lines.values(), "cooling weights=constant:1"])
+        with pytest.raises(SpecFileError) as info:
+            parse_synthetic_spec(text)
+        assert str(info.value) == f"line {list(lines).index(key) + 1}: {message}"
+
+    def test_integral_float_directives_accepted(self):
+        parsed = parse_synthetic_spec(
+            "n=5.0\nm=4e0\ndt=1.0\nseed=0\ncooling weights=constant:1\n"
+        )
+        assert (parsed.n, parsed.m, parsed.seed) == (5, 4, 0)
+
     def test_noise_and_noise_rel_conflict(self):
         text = "n=5\nm=4\ndt=1.0\nnoise=0.1\nnoise_rel=0.01\ncooling weights=constant:1\n"
         with pytest.raises(SpecFileError, match="not both"):
