@@ -163,6 +163,7 @@ def run_decompose(args: argparse.Namespace) -> int:
         f"normalize = {str(cfg.normalize).lower()}",
         f"iterations = {len(trace.costs)}",
         f"stop_reason = {trace.stop_reason}",
+        f"rejected_sweeps = {len(trace.rejected)}",
         f"final_cost = {final_cost}",
         f"clamped_init_entries = {int(init.diagnostics.get('clamped', 0))}",
         f"revived_components = {trace.revives}",

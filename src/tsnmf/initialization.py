@@ -51,7 +51,12 @@ def time_vector(m: int, dt: float) -> TimeGrid:
         raise ValidationError(f"time step must be positive, got dt = {dt}")
     if not np.isfinite(dt):
         raise ValidationError(f"time step must be finite, got dt = {dt}")
-    values = dt * np.arange(m, dtype=float)
+    if not np.isfinite(dt * (m - 1)):
+        raise ValidationError(f"time grid overflows: dt = {dt} with m = {m} samples")
+    try:
+        values = dt * np.arange(m, dtype=float)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"m = {m} samples is too large to allocate") from None
     values.setflags(write=False)
     return TimeGrid(m=m, dt=float(dt), values=values)
 

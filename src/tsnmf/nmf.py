@@ -12,6 +12,11 @@ the cost never increases. A component is dead, and re-seeded from the
 residual, when its squared norm is at most ``dead_component_eps`` times the
 largest in its half. The cost subtracts ``w @ theta`` from ``t`` in place
 and sums the squares in one thread.
+
+:func:`solve` extrapolates between sweeps (Ang & Gillis 2019, "Accelerating
+nonnegative matrix factorization algorithms using extrapolation") and
+restarts from the last accepted iterate whenever an extrapolated sweep
+raises the cost, so its iterations are accepted sweeps and never raise it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ from .errors import NumericalError, ShapeError, ValidationError
 from .linalg import require_matrix
 
 logger = logging.getLogger(__name__)
+
+# The extrapolation schedule of solve, as in Ang & Gillis 2019.
+BETA_0 = 0.5
+BETA_MAX = 1.0
+BETA_SHRINK = 1.5
+BETA_GROW = 1.05
+BETA_MAX_GROW = 1.01
 
 
 @dataclass
@@ -84,16 +96,28 @@ class SolverConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Cost after each completed iteration (one full w and theta update).
+    """Cost after each iteration (one accepted sweep; see :func:`solve`).
 
     ``revives`` records (iteration, component) pairs where a collapsed
-    component was re-seeded from the residual. ``stop_reason`` is ``"tol"``
-    when the relative-change test stopped the solve, else ``"max_iters"``.
+    component was re-seeded from the residual, in either sweep of the
+    iteration. ``stop_reason`` is ``"tol"`` when the cost stalled (which is
+    not proof of convergence), else ``"max_iters"``. ``rejected`` lists the
+    iterations whose extrapolated sweep raised the cost and was replaced by a
+    plain sweep.
     """
 
     costs: list[float] = field(default_factory=list)
     revives: list[tuple[int, int]] = field(default_factory=list)
     stop_reason: str = "max_iters"
+    rejected: list[int] = field(default_factory=list)
+
+
+def _extrapolate(x: np.ndarray, x_prev: np.ndarray, beta: float) -> np.ndarray:
+    """``max(0, x + beta * (x - x_prev))``."""
+    out = x - x_prev
+    out *= beta
+    out += x
+    return np.maximum(out, 0.0, out=out)
 
 
 def _require_nonnegative(a: np.ndarray, name: str, limit: int = 8) -> None:
@@ -237,12 +261,22 @@ def solve(
     config: SolverConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[Factorization, ConvergenceTrace]:
-    """Run HALS sweeps from ``init`` until the cost change stalls.
+    """Run extrapolated HALS sweeps from ``init`` until the cost stalls.
 
-    Stops when ``|D_i - D_{i+1}| / max(D_0, tiny) < rel_tol`` or after
-    ``max_iters`` iterations; the trace records the cost after every full
-    sweep. ``rng`` only feeds dead-component revival and defaults to a
-    fixed-seed generator so identical inputs give identical outputs.
+    Iteration 1 is a plain sweep from ``init``. Iteration n + 1 sweeps from
+    ``max(0, x_n + beta * (x_n - x_{n-1}))`` for ``x`` = ``w`` and ``theta``.
+    If that sweep ends above the cost ``D_n``, it is rejected (listed in
+    ``trace.rejected``): ``beta`` becomes the cap and is divided by
+    ``BETA_SHRINK``, and a plain sweep from ``(w_n, theta_n)`` is taken
+    instead. Otherwise ``beta`` grows by ``BETA_GROW`` up to the cap, and the
+    cap by ``BETA_MAX_GROW`` up to ``BETA_MAX``. An iteration is one accepted
+    sweep: ``max_iters`` counts them and the trace holds only their costs, so
+    it never rises. Stops when ``|D_{i-2} - D_i| / max(D_0, tiny) < rel_tol``,
+    with ``D_0`` (the cost of ``init``) for ``D_{i-2}`` while ``i <= 2``, or
+    after ``max_iters`` iterations. A ``"tol"`` stop means the cost stalled,
+    not that the fit converged. ``rng`` only feeds dead-component revival and
+    defaults to a fixed-seed generator so identical inputs give identical
+    outputs.
     """
     if config is None:
         config = SolverConfig()
@@ -262,20 +296,37 @@ def solve(
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
+    def sweep(start: Factorization) -> tuple[Factorization, float]:
+        out = hals_sweep(t, start, dead_eps=config.dead_component_eps, on_dead=reviver)
+        return out, _cost(t, out)
+
     d_init = _cost(t, f)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
     denom = max(d_init, np.finfo(float).eps * float(np.sum(t * t)), np.finfo(float).tiny)
-    prev = d_init
+    costs = trace.costs
+    prev = None
+    beta, beta_max = BETA_0, BETA_MAX
 
     for iteration in range(1, config.max_iters + 1):
-        f = hals_sweep(t, f, dead_eps=config.dead_component_eps, on_dead=reviver)
-        current = _cost(t, f)
-        trace.costs.append(current)
-        if abs(prev - current) / denom < config.rel_tol:
+        if prev is None:
+            new, current = sweep(f)
+        else:
+            w, theta = _extrapolate(f.w, prev.w, beta), _extrapolate(f.theta, prev.theta, beta)
+            new, current = sweep(Factorization(w, theta))
+            if current > costs[-1]:
+                trace.rejected.append(iteration)
+                beta, beta_max = beta / BETA_SHRINK, beta
+                new, current = sweep(f)
+            else:
+                beta = min(beta_max, BETA_GROW * beta)
+                beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)
+        prev, f = f, new
+        costs.append(current)
+        # One sweep can stall on a momentum reversal; judge two.
+        if abs((costs[-3] if len(costs) > 2 else d_init) - current) / denom < config.rel_tol:
             trace.stop_reason = "tol"
             break
-        prev = current
 
     if config.normalize_output:
         f = normalize(f)

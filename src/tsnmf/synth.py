@@ -104,18 +104,26 @@ class GroundTruth:
     noise_clamps: int = 0
 
 
+# The finiteness check on the data reports an overflow; numpy's warning would repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
     Weight trajectories are drawn first (component order), then the noise
     matrix, so changing only ``noise_sigma`` leaves the clean data intact.
-    Weight models must stay non-negative over all recordings.
+    Weight models must stay non-negative over all recordings, and the data
+    finite.
     """
     rng = np.random.default_rng(spec.seed)
     k = len(spec.components)
 
+    try:
+        w = np.zeros((spec.n, k))
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"n = {spec.n} recordings by m = {spec.grid.m} samples is too large to allocate"
+        ) from None
     theta = np.zeros((k, spec.grid.m))
-    w = np.zeros((spec.n, k))
     for j, comp in enumerate(spec.components):
         if comp.curve.kind == MEAN:
             raise ValidationError(
@@ -137,6 +145,12 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
     raw = t_clean + noise
     clamps = int(np.sum(raw < 0.0))
     t_noisy = np.maximum(0.0, raw)
+    if not np.all(np.isfinite(t_noisy)):
+        i, j = np.argwhere(~np.isfinite(t_noisy))[0]
+        raise ValidationError(
+            f"synthetic data is not finite at recording {i}, sample {j}; "
+            "check the weight models and curve amplitudes"
+        )
     return GroundTruth(
         w_true=w,
         theta_true=theta,

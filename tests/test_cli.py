@@ -106,6 +106,28 @@ class TestSynthCommand:
         assert err == f"error: noise_sigma must be finite, got {sigma}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("drift:8,-0.02", "constant:inf", "synthetic data is not finite at recording 0"),
+            ("cooling tau_c=50 amp=1", "cooling tau_c=50 amp=inf", "synthetic data is not finite"),
+            ("m=32\ndt=5.0", "m=4\ndt=1e308", "time grid overflows: dt = 1e+308 with m = 4"),
+            ("n=60", "n=1e20", "n = 100000000000000000000 recordings by m = 32 samples"),
+            ("m=32", "m=1e20", "m = 100000000000000000000 samples is too large"),
+        ],
+        ids=["inf-weights", "inf-amp", "grid-overflow", "huge-n", "huge-m"],
+    )
+    @pytest.mark.parametrize("noise", ["noise=0", "noise_rel=0.01"])
+    def test_unrepresentable_data_exits_2(self, tmp_path, capsys, old, new, message, noise):
+        # The sizes fail numpy's dimension check, so nothing is allocated.
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SYNTH_SPEC.replace(old, new).replace("noise_rel=0.01", noise))
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_missing_spec_exits_3(self, tmp_path):
         code = cli.main(
             ["synth", "--spec", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]
@@ -283,6 +305,17 @@ class TestDecomposeCommand:
         lines = (out / "report.txt").read_text().splitlines()
         at = lines.index("iterations = 3")
         assert lines[at + 1] == "stop_reason = max_iters"
+
+    def test_report_counts_rejected_sweeps_after_stop_reason(self, tmp_path, dataset):
+        code, out = run_decompose(tmp_path, dataset, "r", "--max-iters", "60", "--tol", "0")
+        assert code == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        at = lines.index("stop_reason = max_iters")
+        key, _, value = lines[at + 1].partition(" = ")
+        assert key == "rejected_sweeps" and int(value) >= 1
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        costs = [float(row.split(",")[1]) for row in rows]
+        assert all(after <= before for before, after in zip(costs, costs[1:]))
 
     def test_config_file_with_cli_override(self, tmp_path, dataset):
         config = tmp_path / "run.conf"

@@ -307,8 +307,9 @@ class TestSolve:
         assert len(trace.costs) == 5
 
     def test_stop_reason(self):
-        # An exact rank-one problem stalls at once; the acceptance data with
-        # knowledge init never meets the default tolerance in 500 sweeps.
+        # An exact rank-one problem stalls at once. The acceptance data with
+        # knowledge init stalls only after 100 sweeps, so a 100-sweep cap
+        # binds, while the default cap of 500 does not.
         w = np.array([[1.0], [2.0], [3.0]])
         th = np.array([[1.0, 0.5, 2.0, 1.0]])
         _, trace = solve(w @ th, (np.ones((3, 1)), np.ones((1, 4))))
@@ -316,9 +317,36 @@ class TestSolve:
         assert len(trace.costs) < SolverConfig.max_iters
         t = planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy
         init = knowledge_init(t, GRID, INIT_SPECS)
-        _, trace = solve(t, (init.w_init, init.theta_init))
+        capped = SolverConfig(max_iters=100)
+        _, trace = solve(t, (init.w_init, init.theta_init), capped)
         assert trace.stop_reason == "max_iters"
-        assert len(trace.costs) == SolverConfig.max_iters
+        assert len(trace.costs) == capped.max_iters
+        _, trace = solve(t, (init.w_init, init.theta_init))
+        assert trace.stop_reason == "tol"
+        assert len(trace.costs) < SolverConfig.max_iters
+
+    def test_rejected_sweeps_are_recorded_and_trace_descends(self):
+        t, w0, th0 = random_problem(4)
+        _, trace = solve(t, (w0, th0), SolverConfig(max_iters=60, rel_tol=0.0))
+        assert len(trace.rejected) >= 1
+        assert trace.rejected == sorted(set(trace.rejected))
+        assert 2 <= trace.rejected[0] and trace.rejected[-1] <= 60
+        assert all(after <= before for before, after in zip(trace.costs, trace.costs[1:]))
+
+    def test_random_seeds_stall_no_more_often_than_plain_hals(self):
+        # compare-inits' 20 random solves on the acceptance data. Plain HALS
+        # left 3 of them more than 10% above the best final cost, with a
+        # median final cost of 3924.15.
+        t = planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy
+        data = TimeSeriesSet(values=t, grid=GRID, dt_source="flag")
+        finals = []
+        for seed in range(20):
+            init = build_init("random", data, 4, None, seed)
+            _, trace = solve(t, (init.w_init, init.theta_init), rng=np.random.default_rng(seed))
+            finals.append(trace.costs[-1])
+        finals = np.array(finals)
+        assert np.sum(finals > 1.1 * finals.min()) <= 3
+        assert np.median(finals) <= 3924.15
 
     def test_negative_data_rejected_with_coordinates(self):
         t = np.ones((3, 3))
@@ -376,6 +404,31 @@ class TestSolve:
         (base, base_iters, base_revives), (scaled, iters, revives) = fits
         assert (iters, revives) == (base_iters, base_revives)
         assert np.linalg.norm(scaled - base) <= 1e-10 * np.linalg.norm(base)
+
+
+@st.composite
+def solve_problems(draw):
+    """Small random data, 1 <= k <= min(n, m, 4), an init strategy and seed."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(4, 12))
+    k = draw(st.integers(1, min(n, m, 4)))
+    t, _, _ = random_problem(draw(st.integers(0, 2**32 - 1)), n, m, k)
+    strategy = draw(st.sampled_from(["knowledge", "nndsvd", "random"]))
+    return t, k, strategy, draw(st.integers(0, 1000))
+
+
+class TestSolveProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=solve_problems())
+    def test_trace_never_rises(self, problem):
+        t, k, strategy, seed = problem
+        data = TimeSeriesSet(values=t, grid=time_vector(t.shape[1], 5.0), dt_source="flag")
+        init = build_init(strategy, data, k, None, seed)
+        _, trace = solve(t, (init.w_init, init.theta_init), SolverConfig(max_iters=40, rel_tol=0.0))
+        # Criterion 1's slack: a cost at roundoff may wobble by roundoff.
+        slack = 1e-12 * trace.costs[0]
+        for before, after in zip(trace.costs, trace.costs[1:]):
+            assert after <= before + slack
 
 
 class TestNormalize:
