@@ -111,7 +111,7 @@ def default_component_specs(k: int) -> list[ComponentSpec]:
 def _load_component_specs(path: str | None, k: int) -> list[ComponentSpec]:
     if path is None:
         return default_component_specs(k)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         specs = parse_component_specs(fh.read())
     if len(specs) != k:
         raise ValidationError(
@@ -136,8 +136,6 @@ def run_decompose(args: argparse.Namespace) -> int:
     cfg = _merge(args)
     if not cfg.input or not cfg.out:
         raise ValidationError("input and output paths must be non-empty")
-    if cfg.k < 1:
-        raise ValidationError(f"k must be >= 1, got {cfg.k}")
     if cfg.init not in STRATEGIES:
         raise ValidationError(
             f"unknown init strategy {cfg.init!r}, expected one of {STRATEGIES}"
@@ -247,10 +245,10 @@ def run_compare_inits(
     out_dir: str,
     *,
     strategies=STRATEGIES,
-    components: str | None = None,
-    n_seeds: int = 20,
-    tol: float = SolverConfig.rel_tol,
-    max_iters: int = SolverConfig.max_iters,
+    components: str | None,
+    n_seeds: int,
+    tol: float,
+    max_iters: int,
 ) -> dict:
     """Solve with each strategy and tabulate per-iteration costs.
 
@@ -325,7 +323,7 @@ def run_compare_inits(
 
 def run_synth(args: argparse.Namespace) -> int:
     """Generate a dataset plus its planted factors from a spec file."""
-    with open(args.spec, "r", encoding="utf-8") as fh:
+    with open(args.spec, "r", encoding="utf-8-sig") as fh:
         parsed = parse_synthetic_spec(fh.read())
     spec, truth = build_ground_truth(parsed)
     with _Outputs(args.out) as outputs:
@@ -400,7 +398,7 @@ def _parse_config_file(path: str) -> dict:
     """Read ``key = value`` lines (with # comments) into typed options."""
     types = {name: str if isinstance(t, tuple) else t for name, t, *_ in OPTIONS}
     options: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -442,6 +440,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         raise ValidationError(
             "missing required option(s): " + ", ".join(f"--{m}" for m in missing)
         )
+    if merged["k"] < 1:
+        raise ValidationError(f"k must be >= 1, got {merged['k']}")
     return argparse.Namespace(**merged)
 
 

@@ -44,7 +44,8 @@ def _parse_cell(raw: str, line_no: int, col_no: int) -> float:
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
 
 

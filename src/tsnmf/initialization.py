@@ -27,7 +27,15 @@ COOLING = "cooling"
 HEATING = "heating"
 BATH_PULSE = "bathpulse"
 HEAT_KERNEL = "heatkernel"
-CURVE_KINDS = (MEAN, COOLING, HEATING, BATH_PULSE, HEAT_KERNEL)
+# The parameters of each curve kind, in the order spec-file errors list them.
+CURVE_PARAMS = {
+    MEAN: (),
+    COOLING: ("amp", "tau_c"),
+    HEATING: ("amp", "tau_h"),
+    BATH_PULSE: ("amp", "tau_c", "tau_h"),
+    HEAT_KERNEL: ("amp", "r"),
+}
+CURVE_KINDS = tuple(CURVE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -100,25 +108,20 @@ class ComponentSpec:
 
 
 def resolve_spec(spec: ComponentSpec, grid: TimeGrid, amp_default: float = 1.0) -> ComponentSpec:
-    """Fill unset parameters with grid-derived defaults.
+    """Fill the kind's unset parameters with grid-derived defaults.
 
     tau_c defaults to t_end/3 and tau_h to t_end/10, except for the bath
     pulse where tau_h defaults to t_end/12 so the difference curve spans the
     window; r defaults to 0.
     """
-    if spec.kind == MEAN:
-        return spec
-    updates = {}
-    if spec.amp is None:
-        updates["amp"] = amp_default
-    if spec.tau_c is None and spec.kind in (COOLING, BATH_PULSE):
-        updates["tau_c"] = grid.t_end / 3.0
-    if spec.tau_h is None and spec.kind == HEATING:
-        updates["tau_h"] = grid.t_end / 10.0
-    if spec.tau_h is None and spec.kind == BATH_PULSE:
-        updates["tau_h"] = grid.t_end / 12.0
-    if spec.r is None and spec.kind == HEAT_KERNEL:
-        updates["r"] = 0.0
+    t_end = grid.t_end
+    defaults = {
+        "amp": amp_default,
+        "tau_c": t_end / 3.0,
+        "tau_h": t_end / (12.0 if spec.kind == BATH_PULSE else 10.0),
+        "r": 0.0,
+    }
+    updates = {p: defaults[p] for p in CURVE_PARAMS[spec.kind] if getattr(spec, p) is None}
     return dataclasses.replace(spec, **updates) if updates else spec
 
 
@@ -145,21 +148,19 @@ def component_curve(
             )
         return mean.copy()
 
-    if spec.amp is None:
-        raise ValidationError(f"{spec.kind} curve needs an amplitude; resolve the spec first")
+    # An unset r means the source point (r = 0); every other parameter is needed.
+    missing = [p for p in CURVE_PARAMS[spec.kind] if p != "r" and getattr(spec, p) is None]
+    if missing:
+        raise ValidationError(
+            f"{spec.kind} curve needs {' and '.join(missing)}; resolve the spec first"
+        )
     amp = spec.amp
 
     if spec.kind == COOLING:
-        if spec.tau_c is None:
-            raise ValidationError("cooling curve needs tau_c")
         return amp * np.exp(-t / spec.tau_c)
     if spec.kind == HEATING:
-        if spec.tau_h is None:
-            raise ValidationError("heating curve needs tau_h")
         return amp * (1.0 - np.exp(-t / spec.tau_h))
     if spec.kind == BATH_PULSE:
-        if spec.tau_c is None or spec.tau_h is None:
-            raise ValidationError("bathpulse curve needs tau_c and tau_h")
         if spec.tau_c <= spec.tau_h:
             raise ValidationError(
                 f"bathpulse needs tau_c > tau_h, got tau_c = {spec.tau_c}, "

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+# A value at or below this has no finite reciprocal.
+RECIPROCAL_FLOOR = 1.0 / np.finfo(float).max
+
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting empty or non-finite input."""
@@ -74,20 +77,16 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=v)
 
 
-def pinv(a, rank_tol: float | None = None) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the thin SVD.
 
-    Singular values below ``rank_tol * sigma_max`` are treated as zero;
-    the default ``rank_tol`` is ``1e-12 * max(rows, cols)``. An all-zero
-    matrix yields the all-zero transpose-shaped pseudoinverse.
+    Singular values at or below ``1e-12 * max(rows, cols) * sigma_max``, or
+    too small for their reciprocal to be finite, are treated as zero. An
+    all-zero matrix yields the all-zero transpose-shaped pseudoinverse.
     """
     a = require_matrix(a, "pinv input")
-    if rank_tol is None:
-        rank_tol = 1e-12 * max(a.shape)
-    if rank_tol <= 0.0:
-        raise ValidationError(f"rank_tol must be positive, got {rank_tol}")
     res = svd(a)
-    cutoff = rank_tol * res.sigma[0]
+    cutoff = max(1e-12 * max(a.shape) * res.sigma[0], RECIPROCAL_FLOOR)
     inv = np.zeros_like(res.sigma)
     keep = res.sigma > cutoff
     inv[keep] = 1.0 / res.sigma[keep]

@@ -9,9 +9,9 @@ it updates and forms one Gram matrix; every ``w`` column (or ``theta`` row)
 update is then one product of a row of ``[-G, I] / diag(G)`` with the stack,
 clamped at zero: the closed-form non-negative least squares minimizer, so
 the cost never increases. A component is dead, and re-seeded from the
-residual, when its squared norm is at most ``dead_component_eps`` times the
-largest in its half. The cost subtracts ``w @ theta`` from ``t`` in place
-and sums the squares in one thread.
+residual, when its squared norm is at most :data:`DEAD_COMPONENT_EPS` times
+the largest in its half, or too small to invert. The cost subtracts
+``w @ theta`` from ``t`` in place and sums the squares in one thread.
 
 :func:`solve` extrapolates between sweeps (Ang & Gillis 2019, "Accelerating
 nonnegative matrix factorization algorithms using extrapolation") and
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ShapeError, ValidationError
-from .linalg import require_matrix
+from .linalg import RECIPROCAL_FLOOR, require_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,9 @@ BETA_MAX = 1.0
 BETA_SHRINK = 1.5
 BETA_GROW = 1.05
 BETA_MAX_GROW = 1.01
+# A component is dead when its squared norm is at most this fraction of the
+# largest in its half; relative, so scaling the data changes no revival.
+DEAD_COMPONENT_EPS = 1e-12
 
 
 @dataclass
@@ -73,25 +76,16 @@ class Factorization:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and housekeeping knobs for :func:`solve`.
-
-    ``dead_component_eps`` is relative; see :func:`hals_sweep`.
-    """
+    """The stopping rule of :func:`solve`: an iteration cap and a tolerance."""
 
     max_iters: int = 500
     rel_tol: float = 1e-8
-    dead_component_eps: float = 1e-12
-    normalize_output: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol >= 0.0:
             raise ValidationError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if not self.dead_component_eps > 0.0:
-            raise ValidationError(
-                f"dead_component_eps must be > 0, got {self.dead_component_eps}"
-            )
 
 
 @dataclass
@@ -161,7 +155,6 @@ def hals_sweep(
     t,
     f: Factorization,
     *,
-    dead_eps: float = SolverConfig.dead_component_eps,
     on_dead: Callable[[Factorization, int], Factorization] | None = None,
 ) -> Factorization:
     """One full coordinate-descent pass: w columns 1..K, then theta rows 1..K.
@@ -172,11 +165,11 @@ def hals_sweep(
     rows of the stack ``z`` that holds ``x.T``. With ``g = y @ y.T`` and
     ``h = [-g, I] / diag(g)`` with a zero diagonal, row l of ``x.T`` becomes
     ``max(0, h[l] @ z)``, which is ``max(0, x_l + (p_l - x @ g_l) / g_ll)``.
-    Component l is dead when ``g_ll <= dead_eps * max_j g_jj``; ``on_dead`` (if
-    given) is passed a view of the current factors and must return the
-    factorization with l revived, and the products are formed again. Without
-    a handler a dead component raises :class:`NumericalError`. The input
-    factorization is left unchanged.
+    Component l is dead when ``g_ll <= DEAD_COMPONENT_EPS * max_j g_jj`` or
+    ``1 / g_ll`` overflows; ``on_dead`` (if given) is passed a view of the
+    current factors and must return the factorization with l revived, and
+    the products are formed again. Without a handler a dead component raises
+    :class:`NumericalError`. The input factorization is left unchanged.
     """
     k = f.k
     wt = np.empty((2 * k, f.w.shape[0]))
@@ -197,7 +190,7 @@ def hals_sweep(
             fill()
             g = y @ y.T
             diag = g.diagonal().tolist()
-            floor = dead_eps * max(diag)
+            floor = max(DEAD_COMPONENT_EPS * max(diag), RECIPROCAL_FLOOR)
             # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
             h = np.concatenate((g, neg_eye), axis=1)
             h /= np.array([-d if d > floor else -np.inf for d in diag])[:, None]
@@ -276,7 +269,7 @@ def solve(
     after ``max_iters`` iterations. A ``"tol"`` stop means the cost stalled,
     not that the fit converged. ``rng`` only feeds dead-component revival and
     defaults to a fixed-seed generator so identical inputs give identical
-    outputs.
+    outputs. The factors are returned unscaled; :func:`normalize` scales them.
     """
     if config is None:
         config = SolverConfig()
@@ -297,7 +290,7 @@ def solve(
         return revive_dead_component(t, fact, l, rng)
 
     def sweep(start: Factorization) -> tuple[Factorization, float]:
-        out = hals_sweep(t, start, dead_eps=config.dead_component_eps, on_dead=reviver)
+        out = hals_sweep(t, start, on_dead=reviver)
         return out, _cost(t, out)
 
     d_init = _cost(t, f)
@@ -327,7 +320,4 @@ def solve(
         if abs((costs[-3] if len(costs) > 2 else d_init) - current) / denom < config.rel_tol:
             trace.stop_reason = "tol"
             break
-
-    if config.normalize_output:
-        f = normalize(f)
     return f, trace

@@ -21,32 +21,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import SpecFileError, ValidationError
-from .initialization import (
-    BATH_PULSE,
-    COOLING,
-    CURVE_KINDS,
-    HEAT_KERNEL,
-    HEATING,
-    MEAN,
-    ComponentSpec,
-    time_vector,
-)
-from .synth import GroundTruth, PlantedComponent, SyntheticSpec, WeightModel, generate, noise_sigma_for_range
-
-_CURVE_KEYS = {
-    MEAN: frozenset(),
-    COOLING: frozenset({"amp", "tau_c"}),
-    HEATING: frozenset({"amp", "tau_h"}),
-    BATH_PULSE: frozenset({"amp", "tau_c", "tau_h"}),
-    HEAT_KERNEL: frozenset({"amp", "r"}),
-}
-
-_WEIGHT_ARGS = {
-    "constant": ("base",),
-    "drift": ("base", "slope"),
-    "periodic": ("base", "amp", "period"),
-    "walk": ("base", "step"),
-}
+from .initialization import CURVE_KINDS, CURVE_PARAMS, ComponentSpec, time_vector
+from .synth import WEIGHT_ARGS, GroundTruth, PlantedComponent, SyntheticSpec, WeightModel
+from .synth import generate, noise_sigma_for_range
 
 
 def _strip_comment(line: str) -> str:
@@ -77,8 +54,8 @@ def _parse_component_tokens(tokens: list[str], line_no: int) -> tuple[ComponentS
         if key == "weights":
             weights_clause = raw.strip()
             continue
-        if key not in _CURVE_KEYS[kind]:
-            allowed = ", ".join(sorted(_CURVE_KEYS[kind])) or "none"
+        if key not in CURVE_PARAMS[kind]:
+            allowed = ", ".join(CURVE_PARAMS[kind]) or "none"
             raise SpecFileError(
                 f"parameter {key!r} not valid for {kind!r} (allowed: {allowed})",
                 line=line_no,
@@ -112,12 +89,12 @@ def parse_component_specs(text: str) -> list[ComponentSpec]:
 def _parse_weight_model(clause: str, line_no: int) -> WeightModel:
     head, sep, rest = clause.partition(":")
     kind = head.strip().lower()
-    if kind not in _WEIGHT_ARGS:
+    if kind not in WEIGHT_ARGS:
         raise SpecFileError(
-            f"unknown weight model {head!r}; expected one of {', '.join(_WEIGHT_ARGS)}",
+            f"unknown weight model {head!r}; expected one of {', '.join(WEIGHT_ARGS)}",
             line=line_no,
         )
-    names = _WEIGHT_ARGS[kind]
+    names = WEIGHT_ARGS[kind]
     args = [a for a in rest.split(",") if a.strip()] if sep else []
     if len(args) != len(names):
         raise SpecFileError(

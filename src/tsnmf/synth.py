@@ -18,7 +18,14 @@ from .errors import ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
 from .nmf import Factorization
 
-WEIGHT_MODELS = ("constant", "drift", "periodic", "walk")
+# The arguments of each weight model, in spec-file order.
+WEIGHT_ARGS = {
+    "constant": ("base",),
+    "drift": ("base", "slope"),
+    "periodic": ("base", "amp", "period"),
+    "walk": ("base", "step"),
+}
+WEIGHT_MODELS = tuple(WEIGHT_ARGS)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tsnmf.cli as cli
-from tsnmf.dataio import read_matrix_csv
+from tsnmf.dataio import read_matrix_csv, write_matrix_csv
 from tsnmf.errors import ValidationError
+from tsnmf.initialization import time_vector
+
+BOM = "\ufeff"
 
 SYNTH_SPEC = """\
 n=60
@@ -359,6 +367,14 @@ class TestDecomposeCommand:
             "error: time step must be positive, got dt = -1.0\n"
         )
 
+    @pytest.mark.parametrize("init", cli.STRATEGIES)
+    def test_subnormal_data_decomposes(self, tmp_path, init):
+        # Squared norms of such data have no finite reciprocal.
+        path = tmp_path / "tiny.csv"
+        path.write_text("t=0,t=2\n5e-324,5e-324\n")
+        argv = ["--input", str(path), "--k", "1", "--init", init, "--out", str(tmp_path / "o")]
+        assert cli.main(["decompose", *argv]) == 0
+
     def test_missing_required_exits_2(self, capsys):
         assert cli.main(["decompose", "--k", "3"]) == 2
         assert "missing required" in capsys.readouterr().err
@@ -443,6 +459,126 @@ def test_config_entries_match_flags(tmp_path, dataset, command, shared, flag_onl
         outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs["config"] == outputs["flags"]
     assert outputs["override"] == outputs["flags"]
+
+
+@pytest.mark.parametrize(
+    "command,extra", [("decompose", ["--init", "random"]), ("compare-inits", [])]
+)
+def test_k_below_one_rejected_before_ingest(tmp_path, capsys, command, extra):
+    argv = ["--input", str(tmp_path / "missing.csv"), "--k", "0", *extra]
+    assert cli.main([command, *argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+
+
+def _help(command, monkeypatch, capsys) -> str:
+    """The --help text of ``command``, whitespace collapsed, unwrapped."""
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("row", cli.OPTIONS, ids=lambda row: row[0])
+def test_option_table_drives_help(monkeypatch, capsys, row):
+    name, _, _, help_text, commands = row
+    flag = re.compile(rf"(?<![\w-])--{name.replace('_', '-')}(?![\w-])")
+    for command in ("decompose", "compare-inits"):
+        text = _help(command, monkeypatch, capsys)
+        assert bool(flag.search(text)) == (command in commands), command
+        assert (" ".join(help_text.split()) in text) == (command in commands), command
+
+
+@pytest.mark.parametrize("command", ["decompose", "compare-inits"])
+def test_every_config_key_accepted(tmp_path, dataset, command):
+    """A config file may set any OPTIONS key, whichever command reads it."""
+    components = tmp_path / "components.txt"
+    components.write_text(COMPONENTS)
+    data = str(dataset / "dataset.csv")
+    base = [f"input = {data}", f"out = {tmp_path / 'base'}", "k = 3", "init = random"]
+    base += ["strategies = random", "seeds = 2", "max_iters = 3"]
+    values = {
+        "input": data,
+        "k": "2",
+        "init": "nndsvd",
+        "seeds": "3",
+        "strategies": "nndsvd,random",
+        "components": str(components),
+        "seed": "4",
+        "tol": "0.5",
+        "max_iters": "2",
+        "dt": "5.0",
+        "normalize": "on",
+        "plots": "yes",
+        "out": str(tmp_path / "other"),
+    }
+    assert set(values) == {row[0] for row in cli.OPTIONS}
+    config = tmp_path / "run.conf"
+    for name, value in values.items():
+        # The last line sets the key; it overrides a base line of the same key.
+        config.write_text("\n".join([*base, f"{name} = {value}"]) + "\n")
+        assert cli.main([command, "--config", str(config)]) == 0, name
+
+
+class TestByteOrderMark:
+    """Spreadsheet "CSV UTF-8" exports begin text files with a byte-order mark."""
+
+    def test_component_spec(self, tmp_path, dataset):
+        outputs = []
+        for name, prefix in (("plain", ""), ("marked", BOM)):
+            spec = tmp_path / f"{name}.txt"
+            spec.write_text(prefix + COMPONENTS, encoding="utf-8")
+            code, out = run_decompose(
+                tmp_path, dataset, name, "--init", "knowledge", "--components", str(spec)
+            )
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_synthetic_spec(self, tmp_path):
+        outputs = []
+        for name, prefix in (("plain", ""), ("marked", BOM)):
+            spec = tmp_path / f"{name}.txt"
+            spec.write_text(prefix + SYNTH_SPEC, encoding="utf-8")
+            out = tmp_path / name
+            assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_config_file(self, tmp_path, dataset):
+        outputs = []
+        for name, prefix in (("plain", ""), ("marked", BOM)):
+            config = tmp_path / f"{name}.conf"
+            out = tmp_path / name
+            text = f"k = 2\ninput = {dataset / 'dataset.csv'}\ninit = random\nout = {out}\n"
+            config.write_text(prefix + text, encoding="utf-8")
+            assert cli.main(["decompose", "--config", str(config)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    t=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(2, 6)),
+        elements=st.floats(0.0, 1e3),
+    ),
+    k=st.integers(1, 3),
+)
+def test_decompose_reruns_are_byte_identical(tmp_path_factory, t, k):
+    k = min(k, *t.shape)
+    root = tmp_path_factory.mktemp("rerun")
+    write_matrix_csv(root / "data.csv", t, grid=time_vector(t.shape[1], 2.0))
+    for init in cli.STRATEGIES:
+        files = []
+        for run in ("a", "b"):
+            out = root / f"{init}-{run}"
+            argv = ["--input", str(root / "data.csv"), "--k", str(k), "--init", init]
+            assert cli.main(["decompose", *argv, "--out", str(out)]) == 0
+            names = ("theta.csv", "w.csv", "trace.csv", "report.txt")
+            files.append([(out / name).read_bytes() for name in names])
+        assert files[0] == files[1], init
 
 
 class TestCompareInitsCommand:

@@ -51,6 +51,17 @@ class TestIngest:
         with pytest.raises(ValidationError, match="positive"):
             ingest_csv(tmp_path / "missing.csv", dt=-1.0)
 
+    @pytest.mark.parametrize("grid", [None, time_vector(3, 2.5)])
+    def test_byte_order_mark_ignored(self, tmp_path, grid):
+        # Spreadsheet "CSV UTF-8" exports begin the file with one.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_matrix_csv(plain, [[0.1, 2.0, 3.5], [4.0, 0.0, 1e-3]], grid=grid)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, ts = ingest_csv(plain), ingest_csv(marked)
+        assert ts.values.tobytes() == expected.values.tobytes()
+        assert ts.grid.values.tobytes() == expected.grid.values.tobytes()
+        assert ts.dt_source == expected.dt_source == ("default" if grid is None else "header")
+
     def test_flag_used_without_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsnmf import (
     BATH_PULSE,
@@ -286,3 +289,56 @@ class TestRandomInit:
         for factor in (res.w_init, res.theta_init):
             assert np.all(factor > 0.0)
             assert np.all(factor <= scale)
+
+
+@st.composite
+def permuted_problems(draw, min_m=1):
+    """A non-negative matrix up to 13 x 9, a rank k <= 4 and a row permutation."""
+    n, m = draw(st.integers(1, 13)), draw(st.integers(min_m, 9))
+    t = draw(arrays(np.float64, (n, m), elements=st.floats(0.0, 1e3)))
+    k = draw(st.integers(1, min(4, n, m)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=int)
+    return t, k, perm
+
+
+def max_defect(actual, expected):
+    """Largest entry-wise difference relative to the largest entry of ``expected``."""
+    return np.abs(actual - expected).max() / max(np.abs(expected).max(), np.finfo(float).tiny)
+
+
+class TestRowPermutationEquivariance:
+    """Reordering the recordings reorders the w rows and leaves theta alone."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem=permuted_problems(min_m=2))
+    def test_knowledge_init(self, problem):
+        t, k, perm = problem
+        grid = time_vector(t.shape[1], 1.0)
+        specs = [ComponentSpec(kind) for kind in (MEAN, COOLING, BATH_PULSE, HEATING)][:k]
+        base = knowledge_init(t, grid, specs)
+        moved = knowledge_init(t[perm], grid, specs)
+        # The data mean sums the rows in another order, so theta may move by rounding.
+        assert max_defect(moved.theta_init, base.theta_init) <= 1e-12
+        assert max_defect(moved.w_init, base.w_init[perm]) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem=permuted_problems())
+    def test_nndsvd_init(self, problem):
+        t, k, perm = problem
+        # Singular vectors are defined only up to rotation within a repeated
+        # singular value, so ask for the first k + 1 to be well separated.
+        res = svd(t)
+        sigma = np.append(res.sigma, 0.0)[: k + 1]
+        assume(sigma[0] > 0.0 and np.all(-np.diff(sigma) >= 1e-3 * sigma[0]))
+        # Where the two sections of a triplet tie (t = [[1, 0], [1, 1]]), rounding
+        # picks one, and a row permutation may pick the other.
+        for j in range(1, k):
+            u, v = res.u[:, j], res.v[:, j]
+            mu_pos = np.linalg.norm(np.maximum(u, 0.0)) * np.linalg.norm(np.maximum(v, 0.0))
+            mu_neg = np.linalg.norm(np.minimum(u, 0.0)) * np.linalg.norm(np.minimum(v, 0.0))
+            assume(abs(mu_pos - mu_neg) >= 1e-6 * max(mu_pos, mu_neg))
+        base = nndsvd_init(t, k)
+        moved = nndsvd_init(t[perm], k)
+        # Normalizing by a small section norm amplifies rounding: not bitwise.
+        assert max_defect(moved.theta_init, base.theta_init) <= 1e-6
+        assert max_defect(moved.w_init, base.w_init[perm]) <= 1e-6

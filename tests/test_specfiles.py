@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from tsnmf import SpecFileError
+from tsnmf import SpecFileError, ValidationError
+from tsnmf.initialization import (
+    CURVE_PARAMS,
+    ComponentSpec,
+    component_curve,
+    resolve_spec,
+    time_vector,
+)
 from tsnmf.specfiles import build_ground_truth, parse_component_specs, parse_synthetic_spec
 
 COMPONENT_FILE = """\
@@ -23,6 +30,47 @@ bathpulse tau_c=20 tau_h=4 amp=1 weights=constant:30
 cooling tau_c=12 amp=1 weights=drift:8,-0.05
 heating tau_h=6 amp=1 weights=periodic:2,4,10
 """
+
+
+# A value for every curve parameter, valid together (the bath pulse needs tau_c > tau_h).
+PARAM_VALUES = {"amp": 2.0, "tau_c": 9.0, "tau_h": 3.0, "r": 0.5}
+
+
+@pytest.mark.parametrize("kind", list(CURVE_PARAMS))
+def test_curve_table_drives_resolution_building_and_parsing(kind):
+    """Each kind's listed parameters are exactly the ones resolve_spec fills,
+    component_curve needs, and a spec-file line may set."""
+    grid = time_vector(12, 1.5)
+    names = CURVE_PARAMS[kind]
+    mean = np.linspace(1.0, 2.0, grid.m)
+
+    resolved = resolve_spec(ComponentSpec(kind), grid)
+    assert [getattr(resolved, n) for n in names].count(None) == 0
+    curve = component_curve(resolved, grid, mean)
+    assert curve.shape == (grid.m,) and np.all(np.isfinite(curve)) and np.all(curve >= 0.0)
+
+    needed = [n for n in names if n != "r"]  # an unset r is the source point, r = 0
+    if needed:
+        message = f"{kind} curve needs {' and '.join(needed)}; resolve the spec first"
+        with pytest.raises(ValidationError, match=message):
+            component_curve(ComponentSpec(kind), grid)
+
+    line = " ".join([kind, *(f"{n}={PARAM_VALUES[n]}" for n in names)])
+    (spec,) = parse_component_specs(line)
+    assert spec == ComponentSpec(kind, **{n: PARAM_VALUES[n] for n in names})
+    component_curve(spec, grid, mean)
+    allowed = ", ".join(names) or "none"
+    for other in sorted(set(PARAM_VALUES) - set(names)):
+        with pytest.raises(SpecFileError) as info:
+            parse_component_specs(f"{kind} {other}=1")
+        assert f"parameter {other!r} not valid for {kind!r} (allowed: {allowed})" in str(info.value)
+
+
+def test_unresolved_heat_kernel_builds_at_the_source_point():
+    grid = time_vector(12, 1.5)
+    unset = component_curve(ComponentSpec("heatkernel", amp=1.0), grid)
+    at_zero = component_curve(ComponentSpec("heatkernel", amp=1.0, r=0.0), grid)
+    assert unset.tobytes() == at_zero.tobytes()
 
 
 class TestComponentSpecs:
