@@ -258,7 +258,9 @@ def nndsvd_init(t, k: int) -> InitResult:
 
     For each triplet j the rank-one term splits into a positive and a
     negative section; the dominant of the two candidate sub-triplets (by the
-    norm-product weight mu) seeds column j of w and row j of theta. The
+    norm-product weight mu) seeds column j of w and row j of theta; where
+    the two mu agree to 1e-9 relative, the section with the larger v norm
+    wins, then the positive one, so row order cannot change the choice. The
     first triplet uses its positive section directly, which for non-negative
     data is the whole leading pair. Deterministic: no randomness, and the
     SVD sign convention is fixed.
@@ -281,10 +283,12 @@ def nndsvd_init(t, k: int) -> InitResult:
         v = res.v[:, j : j + 1]
         u_pos, u_neg = split_sections(u)
         v_pos, v_neg = split_sections(v)
-        mu_pos = float(np.linalg.norm(u_pos) * np.linalg.norm(v_pos) * sigma_j)
-        mu_neg = float(np.linalg.norm(u_neg) * np.linalg.norm(v_neg) * sigma_j)
-
-        if j == 0 or mu_pos >= mu_neg:
+        nv_pos, nv_neg = np.linalg.norm(v_pos), np.linalg.norm(v_neg)
+        mu_pos = float(np.linalg.norm(u_pos) * nv_pos * sigma_j)
+        mu_neg = float(np.linalg.norm(u_neg) * nv_neg * sigma_j)
+        # Row order can round a tie in mu either way; it leaves v alone.
+        tied = abs(mu_pos - mu_neg) < 1e-9 * max(mu_pos, mu_neg)
+        if j == 0 or (nv_pos >= nv_neg if tied else mu_pos >= mu_neg):
             mu, u_sec, v_sec, tag = mu_pos, u_pos, v_pos, "+"
         else:
             mu, u_sec, v_sec, tag = mu_neg, u_neg, v_neg, "-"

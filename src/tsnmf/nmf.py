@@ -17,6 +17,8 @@ the largest in its half, or too small to invert. The cost subtracts
 nonnegative matrix factorization algorithms using extrapolation") and
 restarts from the last accepted iterate whenever an extrapolated sweep
 raises the cost, so its iterations are accepted sweeps and never raise it.
+One solve allocates its stacks and residual once and reuses them on every
+sweep; it forms each extrapolated guess in place, in the stacks it sweeps.
 """
 
 from __future__ import annotations
@@ -106,14 +108,6 @@ class ConvergenceTrace:
     rejected: list[int] = field(default_factory=list)
 
 
-def _extrapolate(x: np.ndarray, x_prev: np.ndarray, beta: float) -> np.ndarray:
-    """``max(0, x + beta * (x - x_prev))``."""
-    out = x - x_prev
-    out *= beta
-    out += x
-    return np.maximum(out, 0.0, out=out)
-
-
 def _require_nonnegative(a: np.ndarray, name: str, limit: int = 8) -> None:
     if np.any(a < 0.0):
         coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:limit]]
@@ -128,7 +122,7 @@ def cost(t, f: Factorization) -> float:
     return _cost(require_matrix(t, "t"), f)
 
 
-def _cost(t: np.ndarray, f: Factorization) -> float:
+def _cost(t: np.ndarray, f: Factorization, out: np.ndarray | None = None) -> float:
     """:func:`cost` without the scan of ``t`` that :func:`solve` makes once."""
     if t.shape != (f.w.shape[0], f.theta.shape[1]):
         raise ShapeError(
@@ -138,7 +132,7 @@ def _cost(t: np.ndarray, f: Factorization) -> float:
     # The finiteness check reports an overflow; numpy's warning would repeat it.
     # einsum sums in one thread; BLAS ddot (np.vdot, @) would start two here.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = f.w @ f.theta
+        r = np.matmul(f.w, f.theta, out=out)  # the residual, in ``out`` if given
         np.subtract(t, r, out=r)
         value = float(np.einsum("ij,ij->", r, r))
     if not np.isfinite(value):
@@ -149,6 +143,55 @@ def _cost(t: np.ndarray, f: Factorization) -> float:
 def reconstruct(f: Factorization) -> np.ndarray:
     """The model matrix ``w @ theta`` (element-wise non-negative)."""
     return f.w @ f.theta
+
+
+class _Stacks:
+    """Sweep buffers: ``w.T`` and ``theta`` as the top K rows (``tops``, viewed
+    by ``f``) of a 2K x N and a 2K x M stack, and ``h``; per half sweep, the
+    stack, its top rows, ``y`` and the refill of its bottom rows (``halves``)."""
+
+    def __init__(self, t: np.ndarray, k: int):
+        wt, th = np.empty((2 * k, t.shape[0])), np.empty((2 * k, t.shape[1]))
+        self.tops = (wt[:k], th[:k])
+        self.f = Factorization(wt[:k].T, th[:k])
+        self.h, self.neg_eye = np.empty((k, 2 * k)), -np.eye(k)
+        self.h_rows, self.h_g, self.h_eye = list(self.h), self.h[:, :k], self.h[:, k:]
+        self.h_diag = self.h.reshape(-1)[:: 2 * k + 1]
+        self.halves = (
+            # y @ t.T runs faster with y copied to column order first.
+            (wt, list(wt[:k]), th[:k], lambda: np.matmul(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
+            (th, list(th[:k]), wt[:k], lambda: np.matmul(wt[:k], t, out=th[k:])),
+        )
+
+    def load(self, f: Factorization) -> None:
+        self.tops[0][...], self.tops[1][...] = f.w.T, f.theta
+
+    def products(self, y: np.ndarray, fill: Callable[[], np.ndarray]) -> list[bool]:
+        """Refill the data product and ``h``; return which components are dead."""
+        fill()
+        g = y @ y.T
+        diag = g.diagonal().tolist()
+        floor = max(DEAD_COMPONENT_EPS * max(diag), RECIPROCAL_FLOOR)
+        # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
+        self.h_g[...], self.h_eye[...] = g, self.neg_eye
+        self.h /= np.array([-d if d > floor else -np.inf for d in diag])[:, None]
+        self.h_diag[...] = 0.0
+        return [d <= floor for d in diag]
+
+    def sweep(self, on_dead: Callable[[Factorization, int], Factorization] | None) -> Factorization:
+        """:func:`hals_sweep` of the factors held here, in place; returns ``f``."""
+        for z, rows, y, fill in self.halves:
+            dead = self.products(y, fill)
+            for l, h_l in enumerate(self.h_rows):
+                if dead[l]:
+                    if on_dead is None:
+                        raise NumericalError(f"component {l} is dead")
+                    self.load(on_dead(self.f, l))
+                    dead = self.products(y, fill)
+                    if dead[l]:
+                        continue  # revival found no usable residual; leave it idle
+                np.maximum(h_l @ z, 0.0, out=rows[l])
+        return self.f
 
 
 def hals_sweep(
@@ -169,47 +212,12 @@ def hals_sweep(
     ``1 / g_ll`` overflows; ``on_dead`` (if given) is passed a view of the
     current factors and must return the factorization with l revived, and
     the products are formed again. Without a handler a dead component raises
-    :class:`NumericalError`. The input factorization is left unchanged.
+    :class:`NumericalError`. The input is left unchanged: the sweep runs in
+    new stacks, with the kernel that :func:`solve` runs in stacks it reuses.
     """
-    k = f.k
-    wt = np.empty((2 * k, f.w.shape[0]))
-    th = np.empty((2 * k, f.theta.shape[1]))
-    wt[:k] = f.w.T
-    th[:k] = f.theta
-    neg_eye = -np.eye(k)
-
-    def current() -> Factorization:
-        return Factorization(wt[:k].T, th[:k])
-
-    for z, y, fill in (
-        # y @ t.T runs faster with y copied to column order first.
-        (wt, th[:k], lambda: np.matmul(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
-        (th, wt[:k], lambda: np.matmul(wt[:k], t, out=th[k:])),
-    ):
-        def products():
-            fill()
-            g = y @ y.T
-            diag = g.diagonal().tolist()
-            floor = max(DEAD_COMPONENT_EPS * max(diag), RECIPROCAL_FLOOR)
-            # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
-            h = np.concatenate((g, neg_eye), axis=1)
-            h /= np.array([-d if d > floor else -np.inf for d in diag])[:, None]
-            h.flat[:: 2 * k + 1] = 0.0
-            return h, [d <= floor for d in diag]
-
-        h, dead = products()
-        for l in range(k):
-            if dead[l]:
-                if on_dead is None:
-                    raise NumericalError(f"component {l} is dead")
-                revived = on_dead(current(), l)
-                wt[:k] = revived.w.T
-                th[:k] = revived.theta
-                h, dead = products()
-                if dead[l]:
-                    continue  # revival found no usable residual; leave it idle
-            np.maximum(h[l] @ z, 0.0, out=z[l])
-    return current()
+    s = _Stacks(t, f.k)
+    s.load(f)
+    return s.sweep(on_dead)
 
 
 def revive_dead_component(
@@ -270,6 +278,8 @@ def solve(
     not that the fit converged. ``rng`` only feeds dead-component revival and
     defaults to a fixed-seed generator so identical inputs give identical
     outputs. The factors are returned unscaled; :func:`normalize` scales them.
+    The sweeps reuse three stack pairs (iterates n and n - 1, and the trial
+    that holds each guess, formed in place) and one residual buffer.
     """
     if config is None:
         config = SolverConfig()
@@ -284,40 +294,44 @@ def solve(
     )
     f.validate()
     trace = ConvergenceTrace()
+    # An accepted sweep rotates the three, so the loop allocates no factors.
+    prev, cur, trial = (_Stacks(t, f.k) for _ in range(3))
+    cur.load(f)
+    trial.load(f)
+    residual = np.empty(t.shape)
 
     def reviver(fact: Factorization, l: int) -> Factorization:
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
-
-    def sweep(start: Factorization) -> tuple[Factorization, float]:
-        out = hals_sweep(t, start, on_dead=reviver)
-        return out, _cost(t, out)
 
     d_init = _cost(t, f)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
     denom = max(d_init, np.finfo(float).eps * float(np.sum(t * t)), np.finfo(float).tiny)
     costs = trace.costs
-    prev = None
     beta, beta_max = BETA_0, BETA_MAX
 
     for iteration in range(1, config.max_iters + 1):
-        if prev is None:
-            new, current = sweep(f)
-        else:
-            w, theta = _extrapolate(f.w, prev.w, beta), _extrapolate(f.theta, prev.theta, beta)
-            new, current = sweep(Factorization(w, theta))
-            if current > costs[-1]:
-                trace.rejected.append(iteration)
-                beta, beta_max = beta / BETA_SHRINK, beta
-                new, current = sweep(f)
-            else:
-                beta = min(beta_max, BETA_GROW * beta)
-                beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)
-        prev, f = f, new
+        if iteration > 1:
+            # The extrapolated guess max(0, x + beta * (x - x_prev)), in place.
+            for x, x_prev, out in zip(cur.tops, prev.tops, trial.tops):
+                np.subtract(x, x_prev, out=out)
+                out *= beta
+                out += x
+                np.maximum(out, 0.0, out=out)
+        current = _cost(t, trial.sweep(reviver), residual)
+        if iteration > 1 and current > costs[-1]:
+            trace.rejected.append(iteration)
+            beta, beta_max = beta / BETA_SHRINK, beta
+            trial.load(cur.f)
+            current = _cost(t, trial.sweep(reviver), residual)
+        elif iteration > 1:
+            beta = min(beta_max, BETA_GROW * beta)
+            beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)
+        prev, cur, trial = cur, trial, prev
         costs.append(current)
         # One sweep can stall on a momentum reversal; judge two.
         if abs((costs[-3] if len(costs) > 2 else d_init) - current) / denom < config.rel_tol:
             trace.stop_reason = "tol"
             break
-    return f, trace
+    return cur.f, trace

@@ -330,15 +330,31 @@ class TestRowPermutationEquivariance:
         res = svd(t)
         sigma = np.append(res.sigma, 0.0)[: k + 1]
         assume(sigma[0] > 0.0 and np.all(-np.diff(sigma) >= 1e-3 * sigma[0]))
-        # Where the two sections of a triplet tie (t = [[1, 0], [1, 1]]), rounding
-        # picks one, and a row permutation may pick the other.
+        # Where the two sections of a triplet tie, the larger v section wins;
+        # only where the v sections tie too does rounding pick one.
         for j in range(1, k):
             u, v = res.u[:, j], res.v[:, j]
-            mu_pos = np.linalg.norm(np.maximum(u, 0.0)) * np.linalg.norm(np.maximum(v, 0.0))
-            mu_neg = np.linalg.norm(np.minimum(u, 0.0)) * np.linalg.norm(np.minimum(v, 0.0))
-            assume(abs(mu_pos - mu_neg) >= 1e-6 * max(mu_pos, mu_neg))
+            nv_pos, nv_neg = np.linalg.norm(np.maximum(v, 0.0)), np.linalg.norm(np.minimum(v, 0.0))
+            mu_pos = np.linalg.norm(np.maximum(u, 0.0)) * nv_pos
+            mu_neg = np.linalg.norm(np.minimum(u, 0.0)) * nv_neg
+            assume(
+                abs(mu_pos - mu_neg) >= 1e-6 * max(mu_pos, mu_neg)
+                or abs(nv_pos - nv_neg) >= 1e-6 * max(nv_pos, nv_neg)
+            )
         base = nndsvd_init(t, k)
         moved = nndsvd_init(t[perm], k)
         # Normalizing by a small section norm amplifies rounding: not bitwise.
         assert max_defect(moved.theta_init, base.theta_init) <= 1e-6
         assert max_defect(moved.w_init, base.w_init[perm]) <= 1e-6
+
+    def test_nndsvd_tie_is_broken_by_the_larger_v_section(self):
+        # Triplet 2 of either row order has mu_pos == mu_neg in exact
+        # arithmetic, so a comparison of the rounded mu would give theta row 2
+        # as [0.526, 0] for one order and [0, 0.526] for the other.
+        t = np.array([[1.0, 0.0], [1.0, 1.0]])
+        perm = np.array([1, 0])
+        base, moved = nndsvd_init(t, 2), nndsvd_init(t[perm], 2)
+        assert base.diagnostics == moved.diagnostics == {"dominant_triplets": ["+", "-"]}
+        assert base.theta_init[1, 0] == moved.theta_init[1, 0] == 0.0
+        assert max_defect(moved.theta_init, base.theta_init) <= 1e-15
+        assert max_defect(moved.w_init, base.w_init[perm]) <= 1e-15

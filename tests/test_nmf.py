@@ -32,6 +32,7 @@ from tsnmf import (
 from tsnmf.cli import build_init
 from tsnmf.dataio import TimeSeriesSet
 from tsnmf.initialization import BATH_PULSE, COOLING, HEATING
+from tsnmf.nmf import BETA_0, BETA_GROW, BETA_MAX, BETA_MAX_GROW, BETA_SHRINK
 
 from test_acceptance import GRID, INIT_SPECS, RECOVERY_COMPONENTS, planted_dataset
 
@@ -429,6 +430,102 @@ class TestSolveProperties:
         slack = 1e-12 * trace.costs[0]
         for before, after in zip(trace.costs, trace.costs[1:]):
             assert after <= before + slack
+
+
+def replay_solve(t, init, config, rng):
+    """:func:`solve` as its docstring states it, from the public sweep and cost:
+    (w, theta, costs, rejected, revives, stop_reason)."""
+    revives, rejected, costs = [], [], []
+    iteration = 0
+
+    def reviver(fact, l):
+        revives.append((iteration, l))
+        return revive_dead_component(t, fact, l, rng)
+
+    f = Factorization(np.array(init[0], dtype=float), np.array(init[1], dtype=float))
+    d_init = cost(t, f)
+    denom = max(d_init, np.finfo(float).eps * float(np.sum(t * t)), np.finfo(float).tiny)
+    prev, beta, beta_max, stop_reason = None, BETA_0, BETA_MAX, "max_iters"
+    for iteration in range(1, config.max_iters + 1):
+        if prev is None:
+            new = hals_sweep(t, f, on_dead=reviver)
+        else:
+            guess = Factorization(
+                np.maximum(f.w + beta * (f.w - prev.w), 0.0),
+                np.maximum(f.theta + beta * (f.theta - prev.theta), 0.0),
+            )
+            new = hals_sweep(t, guess, on_dead=reviver)
+            if cost(t, new) > costs[-1]:
+                rejected.append(iteration)
+                beta, beta_max = beta / BETA_SHRINK, beta
+                new = hals_sweep(t, f, on_dead=reviver)
+            else:
+                beta = min(beta_max, BETA_GROW * beta)
+                beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)
+        prev, f = f, new
+        costs.append(cost(t, f))
+        if abs((costs[-3] if len(costs) > 2 else d_init) - costs[-1]) / denom < config.rel_tol:
+            stop_reason = "tol"
+            break
+    return f.w, f.theta, costs, rejected, revives, stop_reason
+
+
+def assert_solve_replays(t, init, config, seed):
+    f, trace = solve(t, init, config, rng=np.random.default_rng(seed))
+    w, theta, costs, rejected, revives, stop_reason = replay_solve(
+        t, init, config, np.random.default_rng(seed)
+    )
+    assert f.w.tobytes() == w.tobytes() and f.theta.tobytes() == theta.tobytes()
+    assert trace.costs == costs  # bit for bit: floats compare exactly
+    assert (trace.rejected, trace.revives, trace.stop_reason) == (rejected, revives, stop_reason)
+    return trace
+
+
+class TestSolveReplay:
+    """solve matches, bit for bit, a replay from hals_sweep, cost and BETA_*."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=solve_problems(), rel_tol=st.sampled_from([0.0, 1e-8, 1e-4]))
+    def test_matches_replay(self, problem, rel_tol):
+        t, k, strategy, seed = problem
+        data = TimeSeriesSet(values=t, grid=time_vector(t.shape[1], 5.0), dt_source="flag")
+        init = build_init(strategy, data, k, None, seed)
+        config = SolverConfig(max_iters=30, rel_tol=rel_tol)
+        assert_solve_replays(t, (init.w_init, init.theta_init), config, seed)
+
+    def test_matches_replay_through_rejected_sweeps(self):
+        t, w0, th0 = random_problem(4)
+        trace = assert_solve_replays(t, (w0, th0), SolverConfig(max_iters=60, rel_tol=0.0), 0)
+        assert len(trace.rejected) >= 2
+
+    def test_matches_replay_through_revivals(self):
+        # TestRevive's engineered kill: component 2 lives where the data is zero.
+        curve1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        curve2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        t = np.outer(np.linspace(1.0, 2.0, 10), curve1)
+        init = (np.ones((10, 2)), np.vstack([curve1, curve2]))
+        trace = assert_solve_replays(t, init, SolverConfig(max_iters=30, rel_tol=0.0), 3)
+        assert len(trace.revives) >= 2
+
+
+class TestSolveAliasing:
+    def test_init_arrays_are_left_alone(self):
+        t, w0, th0 = random_problem(4)
+        w, th = w0.copy(), th0.copy()
+        solve(t, (w0, th0), SolverConfig(max_iters=20, rel_tol=0.0))
+        assert w0.tobytes() == w.tobytes() and th0.tobytes() == th.tobytes()
+
+    def test_later_solve_leaves_earlier_factors_alone(self):
+        t, w0, th0 = random_problem(4)
+        config = SolverConfig(max_iters=20, rel_tol=0.0)
+        first, _ = solve(t, (w0, th0), config)
+        w, th = first.w.copy(), first.theta.copy()
+        _, w1, th1 = random_problem(5)
+        second, _ = solve(t, (w1, th1), config)
+        assert first.w.tobytes() == w.tobytes() and first.theta.tobytes() == th.tobytes()
+        for a in (first.w, first.theta):
+            for b in (second.w, second.theta):
+                assert not np.shares_memory(a, b)
 
 
 class TestNormalize:
