@@ -2,9 +2,10 @@
 
 The dataset format is N rows of M comma-separated non-negative decimals
 with an optional single header row of time labels ``t=<seconds>`` fixing
-the sampling step. Blank lines are skipped; errors name the file line (and
-column) of the first defect. Numbers are written with Python's shortest
-round-trip representation so exported files re-ingest bit-identically.
+the sampling step. Blank lines are skipped. numpy's parser reads the rows;
+a ``float`` cell scan names the file line (and column) of the first defect.
+Numbers are written with Python's shortest round-trip representation so
+exported files re-ingest bit-identically.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ def _parse_cell(raw: str, line_no: int, col_no: int) -> float:
             f"non-numeric cell {raw!r} at line {line_no}, column {col_no}"
         ) from None
     if not np.isfinite(value):
-        raise ValidationError(
-            f"non-finite cell {raw!r} at line {line_no}, column {col_no}"
-        )
+        raise ValidationError(f"non-finite cell {raw!r} at line {line_no}, column {col_no}")
     return value
 
 
@@ -49,46 +48,41 @@ def _numbered_lines(path) -> list[tuple[int, str]]:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
 
 
-def _parse_rows(rows, nonnegative: bool, ragged_prefix: str) -> np.ndarray:
-    """Parse numbered lines into an N x M array, one numpy assignment a row.
+def _parse_rows(rows, nonnegative: bool) -> np.ndarray:
+    """Parse numbered lines into an N x M array with numpy's C parser.
 
-    Only the first bad row in file order, found by the conversions and one
-    mask, is parsed again cell by cell to name its line and column.
+    A parse failure or a masked cell sends the lines through a plain cell
+    scan, which names the first defect in file order. A file without one
+    (cells such as ``1_0`` that ``float`` reads and numpy does not) yields
+    the scan's array.
     """
+    try:
+        values = np.loadtxt((line for _, line in rows), delimiter=",", comments=None, ndmin=2)
+        bad = ~np.isfinite(values)
+        if nonnegative:
+            bad |= values < 0.0
+        if not bad.any():
+            return values
+    except ValueError:
+        pass  # a ragged row, or a cell that numpy cannot read
     width = rows[0][1].count(",") + 1
-    values = np.empty((len(rows), width))
-    done = 0
-    for _, line in rows:
+    table = []
+    for line_no, line in rows:
         cells = line.split(",")
         if len(cells) != width:
-            break
-        try:
-            values[done] = cells
-        except ValueError:
-            break
-        done += 1
-    bad = ~np.isfinite(values[:done])
-    if nonnegative:
-        bad |= values[:done] < 0.0
-    hits = np.flatnonzero(bad.any(axis=1))
-    if done == len(rows) and not hits.size:
-        return values
-    line_no, line = rows[hits[0] if hits.size else done]
-    cells = line.split(",")
-    if len(cells) != width:
-        raise ValidationError(
-            f"{ragged_prefix}ragged row at line {line_no}: "
-            f"{len(cells)} cells, expected {width}"
-        )
-    for col_no, cell in enumerate(cells, start=1):
-        value = _parse_cell(cell.strip(), line_no, col_no)
-        if nonnegative and value < 0.0:
             raise ValidationError(
-                f"negative value {value!r} at line {line_no}, column {col_no}; "
-                "the data contract is non-negative"
+                f"ragged row at line {line_no}: {len(cells)} cells, expected {width}"
             )
-    # numpy converts a string exactly as float() does, so this is unreachable.
-    raise AssertionError(f"line {line_no} was rejected but holds no defect")
+        table.append([])
+        for col_no, cell in enumerate(cells, start=1):
+            value = _parse_cell(cell.strip(), line_no, col_no)
+            if nonnegative and value < 0.0:
+                raise ValidationError(
+                    f"negative value {value!r} at line {line_no}, column {col_no}; "
+                    "the data contract is non-negative"
+                )
+            table[-1].append(value)
+    return np.array(table)
 
 
 def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
@@ -109,15 +103,12 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
     header_times = None
     first_cells = [c.strip() for c in rows[0][1].split(",")]
     if all(c.startswith("t=") for c in first_cells):
-        header_times = [
-            _parse_cell(c[2:], rows[0][0], col_no)
-            for col_no, c in enumerate(first_cells, start=1)
-        ]
+        header_times = [_parse_cell(c[2:], rows[0][0], col) for col, c in enumerate(first_cells, 1)]
         rows = rows[1:]
         if not rows:
             raise ValidationError(f"{path}: header but no data rows")
 
-    values = _parse_rows(rows, nonnegative=True, ragged_prefix="")
+    values = _parse_rows(rows, nonnegative=True)
 
     inferred = None
     if header_times is not None:
@@ -144,9 +135,7 @@ def _infer_dt(times: list[float]) -> float | None:
     gaps = np.diff(np.asarray(times))
     step = float(gaps[0])
     if step <= 0.0 or np.any(np.abs(gaps - step) > 1e-9 * max(abs(step), 1.0)):
-        raise ValidationError(
-            "time header is not uniformly increasing; cannot infer dt"
-        )
+        raise ValidationError("time header is not uniformly increasing; cannot infer dt")
     return step
 
 
@@ -167,11 +156,14 @@ def write_matrix_csv(path, matrix: np.ndarray, grid: TimeGrid | None = None) -> 
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a plain numeric CSV (no header) into a 2-D array."""
+    """Read a plain numeric CSV (no header) into a 2-D array; errors name the file."""
     rows = _numbered_lines(path)
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    return _parse_rows(rows, nonnegative=False, ragged_prefix=f"{path}: ")
+    try:
+        return _parse_rows(rows, nonnegative=False)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(path, costs, names=("cost",)) -> None:

@@ -211,8 +211,8 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
 
     theta rows are the resolved curves in the order given; the weights are
     ``t @ pinv(theta)`` with negative entries clamped at zero (clamp counts
-    land in the diagnostics). Near-duplicate curve rows are flagged, not
-    rejected.
+    land in the diagnostics). Rows whose largest difference is at most 1e-12
+    of the larger row maximum are flagged as near-duplicates, not rejected.
     """
     t = require_matrix(t, "t")
     if not specs:
@@ -236,8 +236,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     duplicates = []
     for i in range(theta.shape[0]):
         for j in range(i + 1, theta.shape[0]):
-            scale = max(np.linalg.norm(theta[i]), np.linalg.norm(theta[j]), 1.0)
-            if np.linalg.norm(theta[i] - theta[j]) <= 1e-12 * scale:
+            if np.max(np.abs(theta[i] - theta[j])) <= 1e-12 * max(theta[i].max(), theta[j].max()):
                 duplicates.append((i, j))
     if duplicates:
         logger.warning("knowledge init: near-duplicate theta rows %s", duplicates)

@@ -56,13 +56,16 @@ def svd(a) -> SvdResult:
 
     Each (u_j, v_j) pair is flipped so the largest-magnitude entry of u_j
     is positive; NNDSVD reproducibility depends on this convention. A LAPACK
-    convergence failure raises :class:`NumericalError`.
+    convergence failure or a non-finite singular value raises
+    :class:`NumericalError`.
     """
     a = require_matrix(a, "svd input")
     try:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed: {exc}") from exc
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalError("svd failed: a singular value is not finite")
     v = vt.T
 
     for j in range(sigma.size):

@@ -278,6 +278,7 @@ def solve(
     not that the fit converged. ``rng`` only feeds dead-component revival and
     defaults to a fixed-seed generator so identical inputs give identical
     outputs. The factors are returned unscaled; :func:`normalize` scales them.
+    Data whose sum of squares overflows raises :class:`NumericalError` first.
     The sweeps reuse three stack pairs (iterates n and n - 1, and the trial
     that holds each guess, formed in place) and one residual buffer.
     """
@@ -304,10 +305,14 @@ def solve(
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
+    with np.errstate(over="ignore"):
+        t_sq = float(np.sum(t * t))
+    if not np.isfinite(t_sq):
+        raise NumericalError("the data's sum of squares overflows double precision")
     d_init = _cost(t, f)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
-    denom = max(d_init, np.finfo(float).eps * float(np.sum(t * t)), np.finfo(float).tiny)
+    denom = max(d_init, np.finfo(float).eps * t_sq, np.finfo(float).tiny)
     costs = trace.costs
     beta, beta_max = BETA_0, BETA_MAX
 

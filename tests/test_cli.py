@@ -401,6 +401,19 @@ class TestDecomposeCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "row,init",
+        [("1,1.7e308,1.7e308,1,1.7e308,1.7e308", "nndsvd"), ("1,1,0.5,0.5,1e300", "knowledge")],
+        ids=["svd", "sum-of-squares"],
+    )
+    def test_overflow_in_one_row_exits_4(self, tmp_path, capsys, row, init):
+        # pytest turns any warning into an error, so none may precede the exit.
+        path = tmp_path / "row.csv"
+        path.write_text(row + "\n")
+        argv = ["decompose", "--input", str(path), "--k", "1", "--init", init, "--dt", "1"]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_data_exits_4_without_factor_files(self, tmp_path, dataset):
         from tsnmf.dataio import ingest_csv, write_matrix_csv
@@ -724,6 +737,16 @@ class TestScoreCommand:
         )
         assert code == 0
         assert capsys.readouterr().out == f"wrote {out / 'match.csv'}\n"
+
+    def test_bad_cell_names_its_file(self, tmp_path, dataset, capsys):
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        write_matrix_csv(rec / "w.csv", read_matrix_csv(dataset / "truth_w.csv"))
+        (rec / "theta.csv").write_text("x\n")
+        argv = ["score", "--recovered", str(rec), "--truth", str(dataset), "--out", str(rec)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {rec / 'theta.csv'}: non-numeric cell 'x' at line 1, column 1\n"
 
     def test_k_mismatch_exits_2(self, tmp_path, dataset):
         from tsnmf.dataio import write_matrix_csv

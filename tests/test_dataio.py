@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -144,6 +146,88 @@ class TestIngest:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             ingest_csv(tmp_path / "absent.csv")
+
+    def test_cells_only_float_reads_are_accepted(self, tmp_path):
+        # numpy's parser rejects these three cells; float reads them.
+        path = tmp_path / "data.csv"
+        path.write_text("1_0, \u0661 ,\t2.5\n3,4,5\n")
+        ts = ingest_csv(path, dt=1.0)
+        assert ts.values.tobytes() == np.array([[10.0, 1.0, 2.5], [3.0, 4.0, 5.0]]).tobytes()
+
+
+def reference_parse(text: str, nonnegative: bool):
+    """The reader's contract, cell by cell with ``float``: the array, or the
+    message that names the first defect in file order."""
+    rows = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not rows:
+        return None
+    width = rows[0][1].count(",") + 1
+    table = []
+    for line_no, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"ragged row at line {line_no}: {len(cells)} cells, expected {width}"
+        table.append([])
+        for col_no, cell in enumerate(cells, start=1):
+            where = f"at line {line_no}, column {col_no}"
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"non-numeric cell {cell.strip()!r} {where}"
+            if not math.isfinite(value):
+                return f"non-finite cell {cell.strip()!r} {where}"
+            if nonnegative and value < 0.0:
+                return f"negative value {value!r} {where}; the data contract is non-negative"
+            table[-1].append(value)
+    return np.array(table)
+
+
+CELL = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["+1", "1_0", "\u0661", "1e400", "nan", "-0.0", "-2", '"1"', "x", ""]),
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+
+
+@st.composite
+def csv_files(draw):
+    """A dataset body: rows of one width, with ragged, blank and space-only lines
+    mixed in; LF or CRLF line ends, with or without a byte-order mark."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(CELL, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(CELL, min_size=1, max_size=5).map(",".join)
+    blank = st.sampled_from(["", "  "])
+    lines = draw(st.lists(st.one_of(row, row, row, ragged, blank), min_size=1, max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])), newline.join(lines) + newline
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_files())
+@example(("\ufeff", "1_0,\u0661\r\n\r\n 3 ,-0.0\r\n"))
+def test_readers_match_the_per_cell_reference(tmp_path_factory, bom_and_text):
+    bom, text = bom_and_text
+    path = tmp_path_factory.mktemp("differential") / "data.csv"
+    path.write_bytes((bom + text).encode("utf-8"))
+    for read, nonnegative, prefix in (
+        (lambda p: ingest_csv(p, dt=1.0).values, True, ""),
+        (read_matrix_csv, False, f"{path}: "),
+    ):
+        expected = reference_parse(text, nonnegative)
+        if expected is None:
+            with pytest.raises(ValidationError, match="no data rows|empty matrix file"):
+                read(path)
+        elif isinstance(expected, str):
+            with pytest.raises(ValidationError) as info:
+                read(path)
+            assert str(info.value) == prefix + expected
+        else:
+            values = read(path)
+            assert values.shape == expected.shape
+            assert values.tobytes() == expected.tobytes()
 
 
 def test_format_number_round_trips():

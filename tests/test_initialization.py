@@ -213,6 +213,14 @@ class TestKnowledgeInit:
         res = knowledge_init(t, grid, [spec, spec])
         assert (0, 1) in res.diagnostics["duplicate_rows"]
 
+    @pytest.mark.parametrize("scale", [1e-15, 1.0, 1e300])
+    def test_duplicate_check_is_relative(self, scale):
+        # Distinct curves stay distinct at any data scale, without an overflow warning.
+        grid = time_vector(16, 1.0)
+        t = scale * (np.random.default_rng(3).random((10, 16)) + 0.1)
+        specs = [ComponentSpec(MEAN), ComponentSpec(COOLING), ComponentSpec(HEATING)]
+        assert knowledge_init(t, grid, specs).diagnostics["duplicate_rows"] == []
+
 
 class TestNndsvdInit:
     def test_rank_one_reconstruction(self):

@@ -81,6 +81,11 @@ class TestSvd:
         with pytest.raises(NumericalError, match="did not converge"):
             svd(np.eye(2))
 
+    def test_overflowing_singular_value_is_numerical_error(self):
+        # Every entry is finite, but the row's norm, its one singular value, is not.
+        with pytest.raises(NumericalError, match="singular value"):
+            svd([[1.0, 1.7e308, 1.7e308, 1.0, 1.7e308, 1.7e308]])
+
     @pytest.mark.parametrize(
         "a",
         [

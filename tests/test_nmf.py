@@ -362,6 +362,12 @@ class TestSolve:
         with pytest.raises(ValidationError, match="w"):
             solve(t, (w0, np.ones((2, 3))))
 
+    def test_overflowing_sum_of_squares_fails_before_the_first_sweep(self):
+        # The stop test divides by the data's sum of squares, here inf.
+        t = np.array([[1.0, 1.0, 0.5, 0.5, 1e300]])
+        with pytest.raises(NumericalError, match="sum of squares"):
+            solve(t, (np.ones((1, 1)), t.copy()))
+
     def test_rank_bound_enforced(self):
         with pytest.raises(ValidationError, match="rank"):
             solve(np.ones((3, 3)), (np.ones((3, 4)), np.ones((4, 3))))
