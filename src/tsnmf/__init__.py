@@ -50,47 +50,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BATH_PULSE",
-    "COOLING",
-    "CURVE_KINDS",
-    "ComponentSpec",
-    "ConvergenceTrace",
-    "Factorization",
-    "GroundTruth",
-    "HEATING",
-    "HEAT_KERNEL",
-    "InitResult",
-    "MEAN",
-    "MatchReport",
-    "NumericalError",
-    "PlantedComponent",
-    "ShapeError",
-    "SolverConfig",
-    "SpecFileError",
-    "SvdResult",
-    "SyntheticSpec",
-    "TimeGrid",
-    "ValidationError",
-    "WeightModel",
-    "bath_pulse_peak_time",
-    "component_curve",
-    "cost",
-    "generate",
-    "hals_sweep",
-    "knowledge_init",
-    "match_components",
-    "nndsvd_init",
-    "noise_sigma_for_range",
-    "normalize",
-    "pinv",
-    "random_init",
-    "reconstruct",
-    "resolve_spec",
-    "revive_dead_component",
-    "solve",
-    "split_sections",
-    "svd",
-    "time_vector",
-]

@@ -224,10 +224,9 @@ def _write_decompose_plots(
     )
 
 
-def iterations_to_within(costs, fraction: float = 0.01) -> int:
-    """First (1-based) iteration whose cost is within ``fraction`` of the final."""
-    final = costs[-1]
-    threshold = final * (1.0 + fraction)
+def iterations_to_within(costs) -> int:
+    """First (1-based) iteration whose cost is within 1% of the final."""
+    threshold = costs[-1] * 1.01
     for i, value in enumerate(costs, start=1):
         if value <= threshold:
             return i
@@ -346,10 +345,7 @@ def run_score(args: argparse.Namespace) -> int:
     )
     w_true = read_matrix_csv(os.path.join(args.truth, "truth_w.csv"))
     theta_true = read_matrix_csv(os.path.join(args.truth, "truth_theta.csv"))
-    clean = w_true @ theta_true
-    truth = GroundTruth(
-        w_true=w_true, theta_true=theta_true, t_clean=clean, t_noisy=clean
-    )
+    truth = GroundTruth(w_true, theta_true, t_clean=None, t_noisy=None)
     report = match_components(recovered, truth)
 
     with _Outputs(args.out) as outputs:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import pinv, require_matrix, split_sections, svd
 
 logger = logging.getLogger(__name__)
@@ -206,6 +206,15 @@ def _check_rank(t: np.ndarray, k: int) -> None:
         )
 
 
+def _finite_mean(t: np.ndarray, axis: int | None = None) -> np.ndarray:
+    # The check reports an overflow; numpy's warning would repeat it.
+    with np.errstate(over="ignore"):
+        mean = t.mean(axis=axis)
+    if not np.all(np.isfinite(mean)):
+        raise NumericalError("the data mean overflows double precision")
+    return mean
+
+
 def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     """Seed theta with physical curves and w with the clamped pseudoinverse fit.
 
@@ -213,6 +222,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     ``t @ pinv(theta)`` with negative entries clamped at zero (clamp counts
     land in the diagnostics). Rows whose largest difference is at most 1e-12
     of the larger row maximum are flagged as near-duplicates, not rejected.
+    Data whose mean overflows raises :class:`NumericalError`.
     """
     t = require_matrix(t, "t")
     if not specs:
@@ -226,7 +236,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     amp_default = float(np.max(t) - np.min(t))
     if amp_default <= 0.0:
         amp_default = max(float(np.max(t)), 1.0)
-    data_mean = t.mean(axis=0)
+    data_mean = _finite_mean(t, axis=0)
     rows = [
         component_curve(resolve_spec(spec, grid, amp_default), grid, data_mean)
         for spec in specs
@@ -309,12 +319,13 @@ def random_init(t, k: int, seed: int) -> InitResult:
     """Strictly positive uniform factors scaled so w @ theta matches the data.
 
     Entries are i.i.d. uniform on (0, s] with ``s = sqrt(mean(t) / k)``,
-    drawn from a generator seeded with ``seed`` (w first, then theta).
+    drawn from a generator seeded with ``seed`` (w first, then theta). Data
+    whose mean overflows raises :class:`NumericalError`.
     """
     t = require_matrix(t, "t")
     _check_rank(t, k)
     rng = np.random.default_rng(seed)
-    mean = float(t.mean())
+    mean = float(_finite_mean(t))
     scale = np.sqrt(mean / k) if mean > 0.0 else 1.0
     w = scale * (1.0 - rng.random((t.shape[0], k)))
     theta = scale * (1.0 - rng.random((k, t.shape[1])))

@@ -108,9 +108,9 @@ class ConvergenceTrace:
     rejected: list[int] = field(default_factory=list)
 
 
-def _require_nonnegative(a: np.ndarray, name: str, limit: int = 8) -> None:
+def _require_nonnegative(a: np.ndarray, name: str) -> None:
     if np.any(a < 0.0):
-        coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:limit]]
+        coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:8]]
         raise ValidationError(f"{name} has negative entries at {coords}")
 
 

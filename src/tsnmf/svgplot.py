@@ -30,8 +30,8 @@ PALETTE = (
 )
 
 
-def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 5  # about five ticks per axis
     power = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mult * power >= raw:

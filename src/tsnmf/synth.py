@@ -190,7 +190,18 @@ class MatchReport:
         return float(np.mean(self.cosines))
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` over the power of two just above its largest magnitude.
+
+    The division is exact, so scores keep their bits at ordinary scales, and
+    no norm of the result overflows or underflows.
+    """
+    peak = np.max(np.abs(x))
+    return np.ldexp(x, -np.frexp(peak)[1]) if peak > 0.0 else x
+
+
 def _cosine(x: np.ndarray, y: np.ndarray) -> float:
+    x, y = _unit_scaled(x), _unit_scaled(y)
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
@@ -199,6 +210,7 @@ def _cosine(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    x, y = _unit_scaled(x), _unit_scaled(y)
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.linalg.norm(xc) * np.linalg.norm(yc)
@@ -211,7 +223,9 @@ def match_components(recovered: Factorization, truth: GroundTruth) -> MatchRepor
     """Pair recovered and true components by maximum total cosine similarity.
 
     The search is exhaustive over all K! pairings (K <= 8), which removes
-    matching ambiguity at the component counts this package targets.
+    matching ambiguity at the component counts this package targets. Of
+    ``truth`` only ``w_true`` and ``theta_true`` are read. The scores do not
+    depend on the scale of either factorization.
     """
     k = recovered.k
     if truth.theta_true.shape[0] != k:

@@ -594,6 +594,44 @@ def test_decompose_reruns_are_byte_identical(tmp_path_factory, t, k):
         assert files[0] == files[1], init
 
 
+COMMANDS = [["decompose", "--init", init] for init in cli.STRATEGIES] + [
+    ["compare-inits", "--seeds", "2"]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e300, 1.7e308]),
+            st.floats(0.0, np.finfo(float).max),
+        ),
+    ),
+    header=st.booleans(),
+    command=st.sampled_from(COMMANDS),
+    k=st.integers(1, 4),
+)
+def test_contract_holds_across_the_double_range(tmp_path_factory, t, header, command, k):
+    # pytest turns any warning into an error, so a warning fails the example too.
+    root = tmp_path_factory.mktemp("contract")
+    write_matrix_csv(root / "data.csv", t, grid=time_vector(t.shape[1], 2.0) if header else None)
+    out = root / "out"
+    out.mkdir()
+    (out / "report.txt").write_text("previous run\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    argv = [*command, "--input", str(root / "data.csv"), "--k", str(k), "--out", str(out)]
+    code = cli.main(argv if header else [*argv, "--dt", "2"])
+    assert code in (0, 2, 3, 4)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    if code:
+        assert after == before
+    else:
+        for name, body in after.items():
+            assert not re.search(rb"(?i)\b(nan|inf)\b", body), name
+
+
 class TestCompareInitsCommand:
     def test_all_strategies(self, tmp_path, dataset):
         comp = tmp_path / "components.txt"

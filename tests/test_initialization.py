@@ -11,6 +11,7 @@ from tsnmf import (
     HEATING,
     MEAN,
     ComponentSpec,
+    NumericalError,
     ValidationError,
     bath_pulse_peak_time,
     component_curve,
@@ -221,6 +222,12 @@ class TestKnowledgeInit:
         specs = [ComponentSpec(MEAN), ComponentSpec(COOLING), ComponentSpec(HEATING)]
         assert knowledge_init(t, grid, specs).diagnostics["duplicate_rows"] == []
 
+    def test_overflowing_mean_is_numerical_error(self):
+        # pytest turns numpy's overflow warning into an error, so none may precede it.
+        t = 1.7e308 * np.random.default_rng(0).random((6, 6))
+        with pytest.raises(NumericalError, match="data mean overflows"):
+            knowledge_init(t, time_vector(6, 1.0), [ComponentSpec(MEAN)])
+
 
 class TestNndsvdInit:
     def test_rank_one_reconstruction(self):
@@ -297,6 +304,11 @@ class TestRandomInit:
         for factor in (res.w_init, res.theta_init):
             assert np.all(factor > 0.0)
             assert np.all(factor <= scale)
+
+    def test_overflowing_mean_is_numerical_error(self):
+        t = 1.7e308 * np.random.default_rng(0).random((6, 6))
+        with pytest.raises(NumericalError, match="data mean overflows"):
+            random_init(t, 2, seed=0)
 
 
 @st.composite

@@ -249,6 +249,16 @@ class TestMatchComponents:
         assert np.isnan(rep.weight_correlations[0])
         assert rep.weight_correlations[2] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scores_do_not_depend_on_scale(self, scale):
+        # Norms of such factors underflow or overflow when taken directly.
+        exact = match_components(Factorization(self.truth.w_true, self.truth.theta_true), self.truth)
+        rec = Factorization(scale * self.truth.w_true, scale * self.truth.theta_true)
+        rep = match_components(rec, self.truth)
+        assert rep.permutation == exact.permutation
+        np.testing.assert_allclose(rep.cosines, exact.cosines, rtol=1e-12)
+        np.testing.assert_allclose(rep.weight_correlations, exact.weight_correlations, rtol=1e-12)
+
 
 def test_noise_sigma_for_range():
     t = np.array([[0.0, 10.0], [4.0, 6.0]])
