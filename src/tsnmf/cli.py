@@ -134,21 +134,12 @@ def build_init(
 def run_decompose(args: argparse.Namespace) -> int:
     """Ingest, initialize, solve, and write the factor/report files."""
     cfg = _merge(args)
-    if not cfg.input or not cfg.out:
-        raise ValidationError("input and output paths must be non-empty")
-    if cfg.init not in STRATEGIES:
-        raise ValidationError(
-            f"unknown init strategy {cfg.init!r}, expected one of {STRATEGIES}"
-        )
-    if cfg.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
     data = ingest_csv(cfg.input, dt=cfg.dt)
     init = build_init(cfg.init, data, cfg.k, cfg.components, cfg.seed)
-    solver = SolverConfig(max_iters=cfg.max_iters, rel_tol=cfg.tol)
     factors, trace = solve(
         data.values,
         (init.w_init, init.theta_init),
-        solver,
+        cfg.solver,
         rng=np.random.default_rng(cfg.seed),
     )
 
@@ -238,6 +229,20 @@ def _padded(costs: list[float], length: int) -> list[float]:
     return costs + [costs[-1]] * (length - len(costs))
 
 
+def _check_strategies(strategies, n_seeds: int = 1) -> None:
+    if not strategies:
+        raise ValidationError("no strategies requested")
+    if n_seeds < 1:
+        raise ValidationError(f"need at least one random seed, got {n_seeds}")
+    for i, strategy in enumerate(strategies):
+        if strategy not in STRATEGIES:
+            raise ValidationError(
+                f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
+            )
+        if strategy in strategies[:i]:
+            raise ValidationError(f"strategy {strategy!r} requested twice")
+
+
 def run_compare_inits(
     data: TimeSeriesSet,
     k: int,
@@ -255,15 +260,7 @@ def run_compare_inits(
     0..n_seeds-1 for random, seed 0 otherwise. The random iterations figure is
     the per-seed median. Returns the summary dict that also lands in report.txt.
     """
-    if n_seeds < 1:
-        raise ValidationError(f"need at least one random seed, got {n_seeds}")
-    for i, strategy in enumerate(strategies):
-        if strategy not in STRATEGIES:
-            raise ValidationError(
-                f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
-            )
-        if strategy in strategies[:i]:
-            raise ValidationError(f"strategy {strategy!r} requested twice")
+    _check_strategies(strategies, n_seeds)
     solver = SolverConfig(max_iters=max_iters, rel_tol=tol)
 
     columns: dict[str, list[float]] = {}
@@ -423,21 +420,30 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """The options of ``args.command``: CLI flags override config-file
-    entries override defaults."""
+    """The options of ``args.command``, all checked before the dataset is read:
+    flags override config-file entries override defaults; ``solver`` is added."""
     config = _parse_config_file(args.config) if args.config else {}
     merged = {}
     for name, _, default, _, commands in OPTIONS:
         if args.command in commands:
             flag = getattr(args, name)
             merged[name] = config.get(name, default) if flag is None else flag
-    missing = [key for key in _REQUIRED if key in merged and merged[key] is None]
+    missing = [key for key in _REQUIRED if key in merged and merged[key] in (None, "")]
     if missing:
         raise ValidationError(
             "missing required option(s): " + ", ".join(f"--{m}" for m in missing)
         )
     if merged["k"] < 1:
         raise ValidationError(f"k must be >= 1, got {merged['k']}")
+    if merged.get("seed", 0) < 0:
+        raise ValidationError(f"seed must be >= 0, got {merged['seed']}")
+    if "init" in merged:
+        _check_strategies((merged["init"],))
+    else:
+        names = (s.strip() for s in merged["strategies"].split(","))
+        merged["strategies"] = tuple(s for s in names if s)
+        _check_strategies(merged["strategies"], merged["seeds"])
+    merged["solver"] = SolverConfig(max_iters=merged["max_iters"], rel_tol=merged["tol"])
     return argparse.Namespace(**merged)
 
 
@@ -487,19 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _merge(args)
-    strategies = tuple(s.strip() for s in cfg.strategies.split(",") if s.strip())
-    if not strategies:
-        raise ValidationError("no strategies requested")
     data = ingest_csv(cfg.input, dt=cfg.dt)
     summary = run_compare_inits(
         data,
         cfg.k,
         cfg.out,
-        strategies=strategies,
+        strategies=cfg.strategies,
         components=cfg.components,
         n_seeds=cfg.seeds,
-        tol=cfg.tol,
-        max_iters=cfg.max_iters,
+        tol=cfg.solver.rel_tol,
+        max_iters=cfg.solver.max_iters,
     )
     for name, info in summary.items():
         print(f"{name}: iterations to within 1% of final = {info['iterations_to_1pct']}")

@@ -125,7 +125,8 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
         step, source = float(dt), "flag"
     else:
         step, source = 1.0, "default"
-        logger.warning("%s: no time header and no --dt; assuming dt = 1.0", path)
+        why = "no time header" if header_times is None else "one time label fixes no step,"
+        logger.warning("%s: %s and no --dt; assuming dt = 1.0", path, why)
     return TimeSeriesSet(values=values, grid=time_vector(values.shape[1], step), dt_source=source)
 
 

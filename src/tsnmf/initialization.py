@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import pinv, require_matrix, split_sections, svd
+from .linalg import pinv, require_matrix, require_nonnegative, require_rank, split_sections, svd
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +91,9 @@ class ComponentSpec:
             )
         for name in ("amp", "tau_c", "tau_h"):
             value = getattr(self, name)
-            if value is not None and value <= 0.0:
+            if value is not None and not value > 0.0:
                 raise ValidationError(f"{name} must be positive, got {value}")
-        if self.r is not None and self.r < 0.0:
+        if self.r is not None and not self.r >= 0.0:
             raise ValidationError(f"r must be >= 0, got {self.r}")
         if (
             self.kind == BATH_PULSE
@@ -125,6 +125,8 @@ def resolve_spec(spec: ComponentSpec, grid: TimeGrid, amp_default: float = 1.0) 
     return dataclasses.replace(spec, **updates) if updates else spec
 
 
+# Overflow takes a curve to its limit (exp(-inf) = 0); callers reject inf and nan.
+@np.errstate(over="ignore", invalid="ignore")
 def component_curve(
     spec: ComponentSpec, grid: TimeGrid, data_mean: np.ndarray | None = None
 ) -> np.ndarray:
@@ -197,22 +199,13 @@ class InitResult:
     diagnostics: dict
 
 
-def _check_rank(t: np.ndarray, k: int) -> None:
-    limit = min(t.shape)
-    if not 1 <= k <= limit:
-        raise ValidationError(
-            f"rank {k} out of range for a {t.shape[0]}x{t.shape[1]} matrix "
-            f"(need 1 <= k <= min(N, M) = {limit})"
-        )
-
-
-def _finite_mean(t: np.ndarray, axis: int | None = None) -> np.ndarray:
+def _finite(compute, what: str) -> np.ndarray:
     # The check reports an overflow; numpy's warning would repeat it.
     with np.errstate(over="ignore"):
-        mean = t.mean(axis=axis)
-    if not np.all(np.isfinite(mean)):
-        raise NumericalError("the data mean overflows double precision")
-    return mean
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"{what} overflows double precision")
+    return value
 
 
 def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
@@ -221,26 +214,25 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     theta rows are the resolved curves in the order given; the weights are
     ``t @ pinv(theta)`` with negative entries clamped at zero (clamp counts
     land in the diagnostics). Rows whose largest difference is at most 1e-12
-    of the larger row maximum are flagged as near-duplicates, not rejected.
-    Data whose mean overflows raises :class:`NumericalError`.
+    of the larger row maximum are flagged as near-duplicates; non-finite curves
+    are rejected. An overflowing data mean or fit raises :class:`NumericalError`.
     """
     t = require_matrix(t, "t")
-    if not specs:
-        raise ValidationError("need at least one component spec")
+    require_rank(t.shape, len(specs))
     if t.shape[1] != grid.m:
         raise ValidationError(
             f"data has {t.shape[1]} time points but the grid has {grid.m}"
         )
-    _check_rank(t, len(specs))
 
     amp_default = float(np.max(t) - np.min(t))
     if amp_default <= 0.0:
         amp_default = max(float(np.max(t)), 1.0)
-    data_mean = _finite_mean(t, axis=0)
-    rows = [
-        component_curve(resolve_spec(spec, grid, amp_default), grid, data_mean)
-        for spec in specs
-    ]
+    data_mean = _finite(lambda: t.mean(axis=0), "the data mean")
+    rows = []
+    for j, spec in enumerate(specs):
+        rows.append(component_curve(resolve_spec(spec, grid, amp_default), grid, data_mean))
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValidationError(f"component {j} ({spec.kind}): the curve is not finite")
     theta = np.vstack(rows)
 
     duplicates = []
@@ -251,7 +243,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     if duplicates:
         logger.warning("knowledge init: near-duplicate theta rows %s", duplicates)
 
-    w_raw = t @ pinv(theta)
+    w_raw = _finite(lambda: t @ pinv(theta), "the weight fit")
     clamped = int(np.sum(w_raw < 0.0))
     w = np.maximum(0.0, w_raw)
     return InitResult(
@@ -275,10 +267,8 @@ def nndsvd_init(t, k: int) -> InitResult:
     SVD sign convention is fixed.
     """
     t = require_matrix(t, "t")
-    if np.any(t < 0.0):
-        bad = tuple(int(c) for c in np.argwhere(t < 0.0)[0])
-        raise ValidationError(f"nndsvd needs non-negative data, found t{bad} < 0")
-    _check_rank(t, k)
+    require_nonnegative(t, "t")
+    require_rank(t.shape, k)
 
     res = svd(t)
     n, m = t.shape
@@ -323,9 +313,9 @@ def random_init(t, k: int, seed: int) -> InitResult:
     whose mean overflows raises :class:`NumericalError`.
     """
     t = require_matrix(t, "t")
-    _check_rank(t, k)
+    require_rank(t.shape, k)
     rng = np.random.default_rng(seed)
-    mean = float(_finite_mean(t))
+    mean = float(_finite(t.mean, "the data mean"))
     scale = np.sqrt(mean / k) if mean > 0.0 else 1.0
     w = scale * (1.0 - rng.random((t.shape[0], k)))
     theta = scale * (1.0 - rng.random((k, t.shape[1])))

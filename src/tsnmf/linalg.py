@@ -34,6 +34,23 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def require_rank(shape, k: int) -> None:
+    """Reject a rank outside ``1 <= k <= min(N, M)`` for an N x M matrix."""
+    limit = min(shape)
+    if not 1 <= k <= limit:
+        raise ValidationError(
+            f"rank {k} out of range for a {shape[0]}x{shape[1]} matrix "
+            f"(need 1 <= k <= min(N, M) = {limit})"
+        )
+
+
+def require_nonnegative(a: np.ndarray, name: str) -> None:
+    """Reject an array with a negative entry, naming the first eight."""
+    if np.any(a < 0.0):
+        coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:8]]
+        raise ValidationError(f"{name} has negative entries at {coords}")
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Thin singular value decomposition ``a = u @ diag(sigma) @ v.T``.

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ShapeError, ValidationError
-from .linalg import RECIPROCAL_FLOOR, require_matrix
+from .linalg import RECIPROCAL_FLOOR, require_matrix, require_nonnegative, require_rank
 
 logger = logging.getLogger(__name__)
 
@@ -64,13 +64,9 @@ class Factorization:
             raise ShapeError(
                 f"w has {w.shape[1]} columns but theta has {theta.shape[0]} rows"
             )
-        limit = min(w.shape[0], theta.shape[1])
-        if w.shape[1] > limit:
-            raise ValidationError(
-                f"rank {w.shape[1]} exceeds min(N, M) = {limit}"
-            )
-        _require_nonnegative(w, "w")
-        _require_nonnegative(theta, "theta")
+        require_rank((w.shape[0], theta.shape[1]), w.shape[1])
+        require_nonnegative(w, "w")
+        require_nonnegative(theta, "theta")
 
     def copy(self) -> "Factorization":
         return Factorization(self.w.copy(), self.theta.copy())
@@ -106,12 +102,6 @@ class ConvergenceTrace:
     revives: list[tuple[int, int]] = field(default_factory=list)
     stop_reason: str = "max_iters"
     rejected: list[int] = field(default_factory=list)
-
-
-def _require_nonnegative(a: np.ndarray, name: str) -> None:
-    if np.any(a < 0.0):
-        coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:8]]
-        raise ValidationError(f"{name} has negative entries at {coords}")
 
 
 def cost(t, f: Factorization) -> float:
@@ -225,16 +215,16 @@ def revive_dead_component(
 ) -> Factorization:
     """Re-seed a collapsed component from the current residual.
 
-    The theta row becomes the residual row with the largest L2 norm, clamped
-    at zero; the w column is refilled with positive noise at 1e-3 of the
-    data maximum so the next exact update can take over.
+    With ``a`` the largest weight (or 1), the theta row becomes the residual
+    row of largest L2 norm, clamped at zero, over ``a``, and the w column noise
+    in (0, 1e-3 * a]: the revived term scales as the data, split like the rest.
     """
     out = f.copy()
     residual = t - out.w @ out.theta
     row = int(np.argmax(np.sum(residual * residual, axis=1)))
-    out.theta[l] = np.maximum(0.0, residual[row])
-    scale = 1e-3 * float(np.max(t))
-    out.w[:, l] = scale * (1.0 - rng.random(out.w.shape[0]))
+    a = float(np.max(out.w)) or 1.0
+    out.w[:, l] = 1e-3 * a * (1.0 - rng.random(out.w.shape[0]))
+    out.theta[l] = np.maximum(0.0, residual[row]) / a
     return out
 
 
@@ -256,6 +246,9 @@ def normalize(f: Factorization) -> Factorization:
     return Factorization(w, theta)
 
 
+# The checks of the data and of each cost report an overflow, and an overflowed
+# Gram diagonal marks components dead for revival; numpy's warning would repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     t,
     init: tuple[np.ndarray, np.ndarray],
@@ -288,7 +281,7 @@ def solve(
         rng = np.random.default_rng(0)
 
     t = require_matrix(t, "t")
-    _require_nonnegative(t, "t")
+    require_nonnegative(t, "t")
     w0, theta0 = init
     f = Factorization(
         np.array(w0, dtype=float, copy=True), np.array(theta0, dtype=float, copy=True)
@@ -305,8 +298,7 @@ def solve(
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
-    with np.errstate(over="ignore"):
-        t_sq = float(np.sum(t * t))
+    t_sq = float(np.sum(t * t))
     if not np.isfinite(t_sq):
         raise NumericalError("the data's sum of squares overflows double precision")
     d_init = _cost(t, f)

@@ -196,7 +196,8 @@ def build_ground_truth(parsed: ParsedSyntheticSpec) -> tuple[SyntheticSpec, Grou
         seed=parsed.seed,
     )
     if parsed.noise_rel is not None:
-        clean = generate(dataclasses.replace(spec, noise_sigma=0.0))
-        sigma = noise_sigma_for_range(clean.t_clean, parsed.noise_rel)
+        # Only the range outlives the noiseless pass, so the two passes' data never coexist.
+        noiseless = dataclasses.replace(spec, noise_sigma=0.0)
+        sigma = noise_sigma_for_range(generate(noiseless).t_clean, parsed.noise_rel)
         spec = dataclasses.replace(spec, noise_sigma=sigma)
     return spec, generate(spec)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
+from .linalg import require_rank
 from .nmf import Factorization
 
 # The arguments of each weight model, in spec-file order.
@@ -91,13 +92,7 @@ class SyntheticSpec:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not np.isfinite(self.noise_sigma):
             raise ValidationError(f"noise_sigma must be finite, got {self.noise_sigma}")
-        if not self.components:
-            raise ValidationError("need at least one planted component")
-        if len(self.components) > min(self.n, self.grid.m):
-            raise ValidationError(
-                f"{len(self.components)} components exceed min(n, m) = "
-                f"{min(self.n, self.grid.m)}"
-            )
+        require_rank((self.n, self.grid.m), len(self.components))
 
 
 @dataclass

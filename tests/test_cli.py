@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 import tsnmf.cli as cli
 from tsnmf.dataio import read_matrix_csv, write_matrix_csv
 from tsnmf.errors import ValidationError
-from tsnmf.initialization import time_vector
+from tsnmf.initialization import CURVE_KINDS, CURVE_PARAMS, time_vector
+from tsnmf.synth import WEIGHT_ARGS
 
 BOM = "\ufeff"
 
@@ -483,6 +484,76 @@ def test_k_below_one_rejected_before_ingest(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "command,extra", [("decompose", ["--init", "random"]), ("compare-inits", [])]
+)
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--out", ""], "missing required option(s): --out"),
+        (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+        (["--tol", "-1"], "rel_tol must be >= 0, got -1.0"),
+    ],
+)
+def test_bad_option_rejected_before_ingest(tmp_path, capsys, command, extra, option, message):
+    # The input does not exist: reading it first would exit 3.
+    argv = ["--input", str(tmp_path / "missing.csv"), "--k", "2", *extra]
+    argv += ["--out", str(tmp_path / "o"), *option]
+    assert cli.main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ("input =", "missing required option(s): --input"),
+        ("init = bogus", "unknown strategy 'bogus'"),
+    ],
+)
+def test_bad_decompose_config_entry_rejected_before_ingest(tmp_path, capsys, config, message):
+    path = tmp_path / "run.conf"
+    path.write_text(f"input = {tmp_path / 'missing.csv'}\nk = 2\ninit = random\n{config}\n")
+    assert cli.main(["decompose", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--seeds", "0"], "need at least one random seed, got 0"),
+        (["--strategies", "random,bogus"], "unknown strategy 'bogus'"),
+        (["--strategies", "nndsvd,nndsvd"], "strategy 'nndsvd' requested twice"),
+        (["--strategies", ","], "no strategies requested"),
+    ],
+)
+def test_bad_compare_option_rejected_before_ingest(tmp_path, capsys, option, message):
+    argv = ["--input", str(tmp_path / "missing.csv"), "--k", "2", "--out", str(tmp_path / "o")]
+    assert cli.main(["compare-inits", *argv, *option]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "curve,message",
+    [
+        ("cooling tau_c=nan", "error: line 2: tau_c must be positive, got nan"),
+        ("heatkernel r=nan", "error: line 2: r must be >= 0, got nan"),
+        ("cooling amp=inf", "error: component 1 (cooling): the curve is not finite"),
+    ],
+)
+def test_non_finite_curve_parameter_is_blamed_on_the_spec(
+    tmp_path, dataset, capsys, caplog, curve, message
+):
+    spec = tmp_path / "curves.txt"
+    spec.write_text(f"mean\n{curve}\n")
+    code, out = run_decompose(
+        tmp_path, dataset, "o", "--init", "knowledge", "--components", str(spec), "--k", "2"
+    )
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not caplog.records  # no near-duplicate warning about the inf curve
+    assert not out.exists()
+
+
 def _help(command, monkeypatch, capsys) -> str:
     """The --help text of ``command``, whitespace collapsed, unwrapped."""
     monkeypatch.setenv("COLUMNS", "1000")
@@ -630,6 +701,129 @@ def test_contract_holds_across_the_double_range(tmp_path_factory, t, header, com
     else:
         for name, body in after.items():
             assert not re.search(rb"(?i)\b(nan|inf)\b", body), name
+
+
+def mostly_ordinary(ordinary, edges):
+    """Draws of which one in four is an edge: most files are valid and run to the end."""
+    return st.integers(0, 3).flatmap(lambda i: ordinary if i else edges)
+
+
+# Parameter values as spec and config files write them.
+VALUES = mostly_ordinary(
+    st.floats(0.01, 100).map(repr), st.sampled_from(["nan", "inf", "0", "5e-324", "1e308"])
+)
+CELLS = mostly_ordinary(st.floats(0.0, 100.0), st.sampled_from([0.0, 5e-324, 1e300, 1.7e308]))
+# Config-file entries that override a valid base configuration, bad ones included.
+CONFIG_VALUES = {
+    "k": st.sampled_from(["0", "1", "2"]),
+    "init": st.sampled_from([*cli.STRATEGIES, "bogus", ""]),
+    "seed": st.sampled_from(["-1", "0", "3"]),
+    "seeds": st.sampled_from(["0", "1", "2"]),
+    "strategies": st.sampled_from(["knowledge,nndsvd", "random", "random,random", ","]),
+    "tol": VALUES,
+    "max_iters": st.sampled_from(["0", "1", "4"]),
+    "dt": VALUES,
+    "normalize": st.sampled_from(["on", "off"]),
+    "out": st.just(""),
+}
+
+
+@st.composite
+def curve_lines(draw, weights: bool) -> str:
+    """One spec-file line; a synthetic one ends with a weights= clause."""
+    kind = draw(st.sampled_from(CURVE_KINDS))
+    words = [kind] + [f"{p}={draw(VALUES)}" for p in CURVE_PARAMS[kind] if draw(st.booleans())]
+    if weights:
+        model = draw(st.sampled_from(list(WEIGHT_ARGS)))
+        words.append(f"weights={model}:" + ",".join(draw(VALUES) for _ in WEIGHT_ARGS[model]))
+    return " ".join(words)
+
+
+@st.composite
+def datasets(draw) -> str:
+    """A dataset file of up to 5x5 cells, with or without a time header, with
+    blank lines anywhere."""
+    t = draw(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=CELLS))
+    lines = [",".join(map(repr, row)) for row in t.tolist()]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"t={2 * j}" for j in range(t.shape[1])))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + "\n"
+
+
+def assert_contract(argv, out) -> int:
+    """Run ``argv`` against an output directory holding a previous run's file:
+    the exit code is documented, an exit 0 writes only finite numbers, and any
+    other exit leaves the directory as it was. pytest turns a warning into an
+    error, so none may be emitted either."""
+    out.mkdir(exist_ok=True)
+    (out / "report.txt").write_text("previous run\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    if code:
+        assert after == before
+    for name, body in after.items():
+        if name == "match.csv":
+            # A constant weight column has no correlation; score writes nan for it.
+            body = re.sub(rb",nan$", b"", body, flags=re.M)
+        assert not re.search(rb"(?i)\b(nan|inf)\b", body), name
+    return code
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=datasets(),
+    curves=st.lists(curve_lines(weights=False), min_size=1, max_size=3),
+    command=st.sampled_from(["decompose", "compare-inits"]),
+    init=st.sampled_from(cli.STRATEGIES),
+    config=st.lists(st.sampled_from(list(CONFIG_VALUES)), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: CONFIG_VALUES[key] for key in keys})
+    ),
+    truth=st.sampled_from(["recovered", "permuted", "wrong shape"]),
+)
+def test_contract_holds_for_spec_config_and_score_files(
+    tmp_path_factory, data, curves, command, init, config, truth
+):
+    root = tmp_path_factory.mktemp("files")
+    out = root / "out"
+    (root / "data.csv").write_text(data)
+    (root / "curves.txt").write_text("\n".join(curves) + "\n")
+    base = {"input": root / "data.csv", "components": root / "curves.txt", "out": out}
+    base |= {"k": len(curves), "init": init, "seeds": 2, "dt": 2}
+    # A key's last line sets it, so the drawn entries override the base ones.
+    lines = [f"{key} = {value}" for items in (base, config) for key, value in items.items()]
+    (root / "run.conf").write_text("\n".join(lines) + "\n")
+    if assert_contract([command, "--config", str(root / "run.conf")], out) or command != "decompose":
+        return
+    # score the factors just written against a truth made from them
+    w, theta = read_matrix_csv(out / "w.csv"), read_matrix_csv(out / "theta.csv")
+    if truth == "permuted":
+        w, theta = w[:, ::-1], theta[::-1]
+    elif truth == "wrong shape":
+        w = w[:-1] if w.shape[0] > 1 else np.vstack([w, w])
+    write_matrix_csv(root / "truth_w.csv", w)
+    write_matrix_csv(root / "truth_theta.csv", theta)
+    argv = ["score", "--recovered", str(out), "--truth", str(root), "--out", str(root / "score")]
+    assert assert_contract(argv, root / "score") == (2 if truth == "wrong shape" else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    directives=st.fixed_dictionaries(
+        {"n": st.integers(1, 5), "m": st.integers(1, 5), "dt": VALUES, "seed": st.integers(0, 3)},
+        optional={"noise": VALUES, "noise_rel": VALUES},
+    ).filter(lambda d: not {"noise", "noise_rel"} <= set(d)),
+    curves=st.lists(curve_lines(weights=True), min_size=1, max_size=2),
+)
+def test_synth_contract_holds_across_the_double_range(tmp_path_factory, directives, curves):
+    root = tmp_path_factory.mktemp("synth")
+    lines = [f"{key}={value}" for key, value in directives.items()] + curves
+    (root / "spec.txt").write_text("\n".join(lines) + "\n")
+    out = root / "out"
+    assert_contract(["synth", "--spec", str(root / "spec.txt"), "--out", str(out)], out)
 
 
 class TestCompareInitsCommand:

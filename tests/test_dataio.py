@@ -280,3 +280,16 @@ def test_trace_csv(tmp_path):
     assert lines[0] == "iteration,cost"
     assert lines[1] == "1,4.0"
     assert lines[3] == "3,1.5"
+
+
+def test_one_label_header_warning_says_no_step_is_inferred(tmp_path, caplog):
+    import logging
+
+    path = tmp_path / "data.csv"
+    path.write_text("t=0\n1\n2\n")
+    with caplog.at_level(logging.WARNING, logger="tsnmf.dataio"):
+        ts = ingest_csv(path)
+    assert (ts.dt_source, ts.grid.dt) == ("default", 1.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: one time label fixes no step, and no --dt; assuming dt = 1.0"
+    ]

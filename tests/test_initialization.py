@@ -378,3 +378,69 @@ class TestRowPermutationEquivariance:
         assert base.theta_init[1, 0] == moved.theta_init[1, 0] == 0.0
         assert max_defect(moved.theta_init, base.theta_init) <= 1e-15
         assert max_defect(moved.w_init, base.w_init[perm]) <= 1e-15
+
+
+class TestInputRules:
+    """Each input rule has one message, whichever strategy checks it."""
+
+    def test_nndsvd_names_negative_entries_as_solve_does(self):
+        t = np.ones((4, 4))
+        t[2, 1] = -0.1
+        with pytest.raises(ValidationError, match=r"^t has negative entries at \[\(2, 1\)\]$"):
+            nndsvd_init(t, 2)
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            lambda t, k: knowledge_init(t, time_vector(4, 1.0), [ComponentSpec(COOLING)] * k),
+            nndsvd_init,
+            lambda t, k: random_init(t, k, 0),
+        ],
+        ids=["knowledge", "nndsvd", "random"],
+    )
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rank_bound_message(self, init, k):
+        message = rf"^rank {k} out of range for a 3x4 matrix \(need 1 <= k <= min\(N, M\) = 3\)$"
+        with pytest.raises(ValidationError, match=message):
+            init(np.ones((3, 4)), k)
+
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"tau_c": float("nan")}, "tau_c must be positive, got nan"),
+            ({"amp": float("nan")}, "amp must be positive, got nan"),
+        ],
+    )
+    def test_nan_parameter_rejected(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            ComponentSpec(COOLING, **params)
+
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValidationError, match="r must be >= 0, got nan"):
+            ComponentSpec(HEAT_KERNEL, r=float("nan"))
+
+    def test_non_finite_curve_names_its_component(self, caplog):
+        # An infinite amplitude once reached pinv, which blamed its own input,
+        # after a near-duplicate warning that compared inf with inf.
+        import logging
+
+        t = np.random.default_rng(0).random((5, 4)) + 0.1
+        specs = [ComponentSpec(MEAN)] + [ComponentSpec(COOLING, amp=float("inf"))] * 2
+        with caplog.at_level(logging.WARNING, logger="tsnmf.initialization"):
+            with pytest.raises(ValidationError, match=r"^component 1 \(cooling\): the curve is not"):
+                knowledge_init(t, time_vector(4, 1.0), specs)
+        assert not caplog.records
+
+    def test_curve_overflow_takes_the_limit_without_a_warning(self):
+        # pytest turns numpy's overflow warning into an error.
+        grid = time_vector(4, 5.0)
+        cooling = component_curve(ComponentSpec(COOLING, amp=1.0, tau_c=5e-324), grid)
+        assert cooling.tolist() == [1.0, 0.0, 0.0, 0.0]
+        kernel = component_curve(ComponentSpec(HEAT_KERNEL, amp=1.0, r=1e200), grid)
+        assert kernel.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_overflowing_weight_fit_is_numerical_error(self):
+        # A small amplitude puts the data's scale in w, here past the largest double.
+        t = np.array([[9.010745853166667e307, 0.0]])
+        with pytest.raises(NumericalError, match="^the weight fit overflows double precision$"):
+            knowledge_init(t, time_vector(2, 2.0), [ComponentSpec(COOLING, amp=0.5)])

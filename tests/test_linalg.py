@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tsnmf import NumericalError, SvdResult, ValidationError, pinv, split_sections, svd
+from tsnmf.linalg import require_nonnegative, require_rank
 
 
 class TestSvd:
@@ -170,3 +171,26 @@ def test_svd_result_is_read_only():
     assert isinstance(res, SvdResult)
     with pytest.raises(ValueError):
         res.u[0, 0] = 1.0
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rank_outside_the_bound_is_named(self, k):
+        message = rf"^rank {k} out of range for a 3x5 matrix \(need 1 <= k <= min\(N, M\) = 3\)$"
+        with pytest.raises(ValidationError, match=message):
+            require_rank((3, 5), k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rank_at_the_bound_is_accepted(self, k):
+        require_rank((5, 3), k)
+
+    def test_negative_entries_are_named_up_to_eight(self):
+        a = np.zeros((3, 4))
+        a[2, 1] = -1.0
+        with pytest.raises(ValidationError, match=r"^t has negative entries at \[\(2, 1\)\]$"):
+            require_nonnegative(a, "t")
+        with pytest.raises(ValidationError, match=r"at \[\(0, 0\), .*, \(1, 3\)\]$"):
+            require_nonnegative(-np.ones((3, 4)), "w")
+
+    def test_negative_zero_is_accepted(self):
+        require_nonnegative(np.array([[-0.0, 1.0]]), "t")

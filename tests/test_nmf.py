@@ -598,3 +598,39 @@ def test_solver_config_validation():
 def test_factorization_rank_property():
     f = Factorization(np.ones((5, 2)), np.ones((2, 3)))
     assert f.k == 2
+
+
+def test_factorization_rank_bound_message():
+    f = Factorization(np.ones((3, 4)), np.ones((4, 3)))
+    message = r"^rank 4 out of range for a 3x3 matrix \(need 1 <= k <= min\(N, M\) = 3\)$"
+    with pytest.raises(ValidationError, match=message):
+        f.validate()
+
+
+@pytest.mark.parametrize("exponent", [-500, -250, 250, 500])
+def test_revivals_do_not_depend_on_the_data_scale(exponent):
+    # k = 4 on 4x5 uniform draws revives a component. A power of four scales
+    # the data, the random start and every step of the solve exactly.
+    from tsnmf import random_init
+
+    t = np.random.default_rng(1).random((4, 5))
+    runs = []
+    for scale in (1.0, 2.0**exponent):
+        init = random_init(scale * t, 4, 0)
+        _, trace = solve(scale * t, (init.w_init, init.theta_init), rng=np.random.default_rng(0))
+        runs.append((len(trace.costs), trace.revives, trace.costs[-1] / scale**2))
+    (iters, revives, final), (scaled_iters, scaled_revives, scaled_final) = runs
+    assert revives
+    assert (scaled_iters, scaled_revives) == (iters, revives)
+    assert scaled_final == pytest.approx(final, rel=1e-12)
+
+
+def test_overflowing_sweep_product_is_revived_without_a_warning():
+    # The knowledge fit puts the data's scale in w, so w.T @ w and w.T @ t overflow
+    # in the first theta half; the component is revived at the data's scale.
+    t = np.array([[9.492494852864905e153, 0.0]])
+    init = knowledge_init(t, time_vector(2, 2.0), [ComponentSpec("cooling", amp=0.5)])
+    f, trace = solve(t, (init.w_init, init.theta_init))
+    assert trace.revives == [(1, 0)]
+    assert np.all(np.isfinite(reconstruct(f)))
+    assert trace.costs[-1] <= 1e-20 * float(np.sum(t * t))

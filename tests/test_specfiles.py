@@ -204,3 +204,16 @@ class TestBuildGroundTruth:
         _, rel = build_ground_truth(parse_synthetic_spec(rel_text))
         assert np.array_equal(base.t_clean, rel.t_clean)
         assert not np.array_equal(rel.t_noisy, rel.t_clean)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("cooling tau_c=nan", "tau_c must be positive, got nan"),
+        ("heating amp=nan", "amp must be positive, got nan"),
+        ("heatkernel r=nan", "r must be >= 0, got nan"),
+    ],
+)
+def test_nan_parameter_is_a_spec_error_naming_its_line(line, message):
+    with pytest.raises(SpecFileError, match=rf"^line 2: {message}$"):
+        parse_component_specs(f"mean\n{line}\n")

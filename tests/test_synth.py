@@ -278,3 +278,13 @@ def test_component_count_bound():
                 for _ in range(3)
             ),
         )
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_component_count_is_the_rank_bound(count):
+    component = PlantedComponent(
+        ComponentSpec(COOLING, amp=1.0, tau_c=30.0), WeightModel("constant", base=1.0)
+    )
+    message = rf"^rank {count} out of range for a 2x32 matrix \(need 1 <= k <= min\(N, M\) = 2\)$"
+    with pytest.raises(ValidationError, match=message):
+        SyntheticSpec(n=2, grid=GRID, components=(component,) * count)
