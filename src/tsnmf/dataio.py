@@ -2,8 +2,8 @@
 
 The dataset format is N rows of M comma-separated non-negative decimals
 with an optional single header row of time labels ``t=<seconds>`` fixing
-the sampling step. Blank lines are skipped. numpy's parser reads the rows;
-a ``float`` cell scan names the file line (and column) of the first defect.
+the sampling step. Blank lines are skipped. numpy's parser streams the file
+once; a ``float`` cell scan re-reads it only to name a defect's line (and column).
 Numbers are written with Python's shortest round-trip representation so
 exported files re-ingest bit-identically.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,28 +44,33 @@ def _parse_cell(raw: str, line_no: int, col_no: int) -> float:
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with.
     with open(path, "r", encoding="utf-8-sig") as fh:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
 
 
-def _parse_rows(rows, nonnegative: bool) -> np.ndarray:
-    """Parse numbered lines into an N x M array with numpy's C parser.
+def _first_line(fh) -> tuple[int, str] | None:
+    """The next non-blank line of ``fh`` and its number, or None at the end."""
+    return next(((no, line) for no, line in enumerate(fh, 1) if line.strip()), None)
 
-    A parse failure or a masked cell sends the lines through a plain cell
-    scan, which names the first defect in file order. A file without one
-    (cells such as ``1_0`` that ``float`` reads and numpy does not) yields
-    the scan's array.
+
+def _parse_rows(path, first: str, fh, skip: int, nonnegative: bool) -> np.ndarray:
+    """Parse ``first`` and the rest of ``fh`` with numpy's C parser.
+
+    A parse failure or a masked cell reads ``path`` again, past its first
+    ``skip`` non-blank lines, through a plain cell scan, which names the first
+    defect in file order. A file without one (cells such as ``1_0`` that
+    ``float`` reads and numpy does not) yields the scan's array.
     """
     try:
-        values = np.loadtxt((line for _, line in rows), delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(chain((first,), fh), delimiter=",", comments=None, ndmin=2)
         bad = ~np.isfinite(values)
         if nonnegative:
             bad |= values < 0.0
         if not bad.any():
             return values
     except ValueError:
-        pass  # a ragged row, or a cell that numpy cannot read
+        pass  # a ragged row, a whitespace-only line, or a cell that numpy cannot read
+    rows = _numbered_lines(path)[skip:]
     width = rows[0][1].count(",") + 1
     table = []
     for line_no, line in rows:
@@ -96,19 +102,19 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
     """
     if dt is not None:
         time_vector(1, float(dt))
-    rows = _numbered_lines(path)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-
-    header_times = None
-    first_cells = [c.strip() for c in rows[0][1].split(",")]
-    if all(c.startswith("t=") for c in first_cells):
-        header_times = [_parse_cell(c[2:], rows[0][0], col) for col, c in enumerate(first_cells, 1)]
-        rows = rows[1:]
-        if not rows:
-            raise ValidationError(f"{path}: header but no data rows")
-
-    values = _parse_rows(rows, nonnegative=True)
+    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with.
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        first = _first_line(fh)
+        if first is None:
+            raise ValidationError(f"{path}: no data rows")
+        header_times, skip = None, 0
+        first_cells = [c.strip() for c in first[1].split(",")]
+        if all(c.startswith("t=") for c in first_cells):
+            header_times = [_parse_cell(c[2:], first[0], col) for col, c in enumerate(first_cells, 1)]
+            first, skip = _first_line(fh), 1
+            if first is None:
+                raise ValidationError(f"{path}: header but no data rows")
+        values = _parse_rows(path, first[1], fh, skip, nonnegative=True)
 
     inferred = None
     if header_times is not None:
@@ -158,13 +164,14 @@ def write_matrix_csv(path, matrix: np.ndarray, grid: TimeGrid | None = None) -> 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a plain numeric CSV (no header) into a 2-D array; errors name the file."""
-    rows = _numbered_lines(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty matrix file")
-    try:
-        return _parse_rows(rows, nonnegative=False)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        first = _first_line(fh)
+        if first is None:
+            raise ValidationError(f"{path}: empty matrix file")
+        try:
+            return _parse_rows(path, first[1], fh, 0, nonnegative=False)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(path, costs, names=("cost",)) -> None:

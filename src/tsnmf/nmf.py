@@ -298,10 +298,10 @@ def solve(
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
-    t_sq = float(np.sum(t * t))
+    t_sq = float(np.sum(np.multiply(t, t, out=residual)))
     if not np.isfinite(t_sq):
         raise NumericalError("the data's sum of squares overflows double precision")
-    d_init = _cost(t, f)
+    d_init = _cost(t, f, residual)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
     denom = max(d_init, np.finfo(float).eps * t_sq, np.finfo(float).tiny)

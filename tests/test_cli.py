@@ -143,6 +143,16 @@ class TestSynthCommand:
         )
         assert code == 3
 
+    def test_one_sample_grid_asks_for_the_time_constant(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("n=3\nm=1\ndt=1\ncooling amp=1 weights=constant:1\n")
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cooling: one sample fixes no time constant; give tau_c\n"
+        )
+        assert not out.exists()
+
     def test_production_scale_generation_under_one_second(self, tmp_path):
         import time
 
@@ -217,6 +227,24 @@ class TestDecomposeCommand:
         )
         assert code == 2
         assert "min(N, M)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "curve, unset",
+        [("cooling", "tau_c"), ("bathpulse", "tau_c and tau_h"), ("bathpulse tau_c=2", "tau_h")],
+    )
+    def test_one_sample_knowledge_init_asks_for_the_time_constant(
+        self, tmp_path, capsys, curve, unset
+    ):
+        data, spec, out = tmp_path / "data.csv", tmp_path / "curves.txt", tmp_path / "o"
+        data.write_text("1\n2\n3\n")
+        spec.write_text(curve + "\n")
+        paths = ["--input", str(data), "--components", str(spec), "--out", str(out)]
+        assert cli.main(["decompose", *"--k 1 --dt 1 --init knowledge".split(), *paths]) == 2
+        kind = curve.split()[0]
+        assert capsys.readouterr().err == (
+            f"error: {kind}: one sample fixes no time constant; give {unset}\n"
+        )
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, dataset):
         code1, out1 = run_decompose(tmp_path, dataset, "r1", "--seed", "5", "--plots")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tsnmf.dataio as dataio
 from tsnmf import ValidationError, time_vector
 from tsnmf.dataio import (
     format_number,
@@ -153,6 +155,71 @@ class TestIngest:
         path.write_text("1_0, \u0661 ,\t2.5\n3,4,5\n")
         ts = ingest_csv(path, dt=1.0)
         assert ts.values.tobytes() == np.array([[10.0, 1.0, 2.5], [3.0, 4.0, 5.0]]).tobytes()
+
+
+class TestStreamedIngest:
+    """A defect-free file is read in one pass; only a defect re-reads it."""
+
+    def test_clean_file_is_not_read_line_by_line(self, tmp_path, monkeypatch):
+        def no_rescan(path):
+            raise AssertionError("a defect-free file was re-read")
+
+        monkeypatch.setattr(dataio, "_numbered_lines", no_rescan)
+        path = tmp_path / "data.csv"
+        text = "\r\nt=0,t=2.5\r\n1,2\r\n\r\n3,4.5\r\n\r\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ts = ingest_csv(path)
+        assert ts.values.tobytes() == np.array([[1.0, 2.0], [3.0, 4.5]]).tobytes()
+        assert (ts.dt_source, ts.grid.dt) == ("header", 2.5)
+        path.write_bytes(b"\xef\xbb\xbf\r\n1,-2\r\n\r\n3,4.5\r\n")
+        assert read_matrix_csv(path).tobytes() == np.array([[1.0, -2.0], [3.0, 4.5]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            (None, None),
+            ("1,2", "ragged row at line 4321: 2 cells, expected 3"),
+            (
+                "1,-2,3",
+                "negative value -2.0 at line 4321, column 2; the data contract is non-negative",
+            ),
+        ],
+        ids=["whitespace-only-line", "ragged-row", "negative-cell"],
+    )
+    def test_defect_deep_in_a_long_file_names_its_line(self, tmp_path, defect, message):
+        # Line 1 is the header and line 2000 holds only spaces: both are counted.
+        lines = ["t=0,t=1,t=2"] + ["1,2,3"] * 5000
+        lines[1999] = "   "
+        if defect is not None:
+            lines[4320] = defect
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if message is None:
+            expected = np.tile([1.0, 2.0, 3.0], (4999, 1))
+            assert ingest_csv(path).values.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValidationError) as info:
+                ingest_csv(path)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            (ingest_csv, "", "no data rows"),
+            (ingest_csv, "\n  \r\n\n", "no data rows"),
+            (ingest_csv, "\nt=0,t=5\n\n", "header but no data rows"),
+            (read_matrix_csv, "", "empty matrix file"),
+            (read_matrix_csv, " \n\n", "empty matrix file"),
+        ],
+    )
+    def test_empty_files_keep_their_message_and_warn_nothing(self, tmp_path, read, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValidationError) as info:
+            warnings.simplefilter("always")
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert not caught
 
 
 def reference_parse(text: str, nonnegative: bool):

@@ -1,0 +1,88 @@
+"""Peak allocation of the commands' N x M layers, measured with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so a transient N x M copy
+shows in the peak. Each bound is in units of the arrays the layer must hold.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tsnmf import (
+    BATH_PULSE,
+    COOLING,
+    HEATING,
+    ComponentSpec,
+    PlantedComponent,
+    SyntheticSpec,
+    WeightModel,
+    generate,
+    time_vector,
+)
+from tsnmf.dataio import ingest_csv, write_matrix_csv
+from tsnmf.nmf import solve
+
+
+def peak_bytes(fn, *args):
+    """The result of ``fn(*args)`` and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def planted_spec(n, m, noise_sigma):
+    return SyntheticSpec(
+        n=n,
+        grid=time_vector(m, 5.0),
+        components=(
+            PlantedComponent(
+                ComponentSpec(BATH_PULSE, amp=1.0, tau_c=90.0, tau_h=8.0),
+                WeightModel("walk", base=30.0, step=0.05),
+            ),
+            PlantedComponent(
+                ComponentSpec(COOLING, amp=1.0, tau_c=45.0), WeightModel("drift", base=8.0)
+            ),
+            PlantedComponent(
+                ComponentSpec(HEATING, amp=1.0, tau_h=25.0),
+                WeightModel("periodic", base=2.0, amp=6.0, period=20.0),
+            ),
+        ),
+        noise_sigma=noise_sigma,
+        seed=7,
+    )
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+def test_generate_holds_clean_and_noisy_data_only(noise_sigma):
+    # t_clean and t_noisy, plus the clamp and finiteness masks (1/8 each).
+    n, m = 20_000, 32
+    truth, peak = peak_bytes(generate, planted_spec(n, m, noise_sigma))
+    assert truth.t_noisy.shape == (n, m)
+    assert peak <= 2.5 * n * m * 8
+
+
+def test_ingest_holds_about_the_result_array(tmp_path):
+    path = tmp_path / "data.csv"
+    matrix = np.random.default_rng(0).random((10_800, 32)) * 800.0
+    write_matrix_csv(path, matrix, grid=time_vector(32, 5.0))
+    ts, peak = peak_bytes(ingest_csv, path)
+    assert ts.values.tobytes() == matrix.tobytes()
+    assert peak <= 1.5 * matrix.nbytes
+
+
+def test_solve_holds_one_residual_next_to_its_stacks():
+    n, m, k = 20_000, 32, 3
+    truth = generate(planted_spec(n, m, 0.3))
+    rng = np.random.default_rng(1)
+    init = (truth.w_true * rng.uniform(0.5, 1.5, (n, k)), truth.theta_true + 0.01)
+    (_, trace), peak = peak_bytes(solve, truth.t_noisy, init)
+    assert not trace.revives
+    # The residual, three stacks of 2K x N and 2K x M, and half an N x M of slack.
+    stacks = 3 * 2 * k * (n + m) * 8
+    assert peak <= n * m * 8 + stacks + 0.5 * n * m * 8

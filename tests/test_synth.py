@@ -141,7 +141,35 @@ class TestGenerate:
     def test_zero_noise_is_exactly_clean(self):
         truth = generate(three_component_spec(noise=0.0, seed=5))
         assert np.array_equal(truth.t_noisy, truth.t_clean)
+        assert not np.shares_memory(truth.t_noisy, truth.t_clean)
         assert truth.noise_clamps == 0
+
+    def test_noisy_data_replays_the_reference_arithmetic(self):
+        spec = SyntheticSpec(
+            n=80,
+            grid=GRID,
+            components=(
+                PlantedComponent(
+                    ComponentSpec(HEATING, amp=1.0, tau_h=20.0),
+                    WeightModel("walk", base=3.0, step=0.05),
+                ),
+                PlantedComponent(
+                    ComponentSpec(COOLING, amp=1.0, tau_c=45.0),
+                    WeightModel("drift", base=0.2, slope=0.001),
+                ),
+            ),
+            noise_sigma=0.5,
+            seed=9,
+        )
+        truth = generate(spec)
+        # Weights first, then max(0, t_clean + sigma * noise), bit for bit.
+        rng = np.random.default_rng(spec.seed)
+        w = np.column_stack([c.weights.sample(spec.n, rng) for c in spec.components])
+        t_clean = w @ truth.theta_true
+        raw = t_clean + spec.noise_sigma * rng.standard_normal(t_clean.shape)
+        assert truth.t_clean.tobytes() == t_clean.tobytes()
+        assert truth.t_noisy.tobytes() == np.maximum(0.0, raw).tobytes()
+        assert truth.noise_clamps == np.count_nonzero(raw < 0.0) > 0
 
     def test_noise_clamped_and_counted(self):
         spec = SyntheticSpec(
