@@ -112,7 +112,8 @@ def resolve_spec(spec: ComponentSpec, grid: TimeGrid, amp_default: float = 1.0) 
 
     tau_c defaults to t_end/3 and tau_h to t_end/10, except for the bath
     pulse where tau_h defaults to t_end/12 so the difference curve spans the
-    window; r defaults to 0. One sample fixes no time constant.
+    window; r defaults to 0. A span too short for a positive default is an
+    error that asks for the time constant.
     """
     t_end = grid.t_end
     defaults = {
@@ -122,9 +123,9 @@ def resolve_spec(spec: ComponentSpec, grid: TimeGrid, amp_default: float = 1.0) 
         "r": 0.0,
     }
     updates = {p: defaults[p] for p in CURVE_PARAMS[spec.kind] if getattr(spec, p) is None}
-    unset = " and ".join(p for p in ("tau_c", "tau_h") if p in updates)
-    if t_end == 0.0 and unset:
-        raise ValidationError(f"{spec.kind}: one sample fixes no time constant; give {unset}")
+    unset = " and ".join(p for p in ("tau_c", "tau_h") if p in updates and not updates[p] > 0.0)
+    if unset:
+        raise ValidationError(f"{spec.kind}: the recording span fixes no time constant; give {unset}")
     return dataclasses.replace(spec, **updates) if updates else spec
 
 

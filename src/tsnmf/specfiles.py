@@ -184,9 +184,9 @@ def parse_synthetic_spec(text: str) -> ParsedSyntheticSpec:
 def build_ground_truth(parsed: ParsedSyntheticSpec) -> tuple[SyntheticSpec, GroundTruth]:
     """Generate data from a parsed spec, resolving relative noise levels.
 
-    Relative noise needs the clean data range, so a noiseless pass, which
-    draws no noise, measures it and the dataset is regenerated with the
-    absolute sigma; the clean data is identical across both passes (same seed).
+    Relative noise needs the clean data range, so the dataset is generated
+    once noiselessly to measure it and then regenerated with the absolute
+    sigma; the clean data is identical across both passes (same seed).
     """
     spec = SyntheticSpec(
         n=parsed.n,

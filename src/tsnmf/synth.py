@@ -112,9 +112,9 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
     Weight trajectories are drawn first (component order), then the noise
-    matrix (none at ``noise_sigma == 0``), so changing only ``noise_sigma``
-    leaves the clean data intact. Weight models must stay non-negative over
-    all recordings, and the data finite.
+    matrix, so changing only ``noise_sigma`` leaves the clean data intact.
+    Weight models must stay non-negative over all recordings, and the data
+    finite.
     """
     rng = np.random.default_rng(spec.seed)
     k = len(spec.components)
@@ -143,15 +143,12 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
         w[:, j] = weights
 
     t_clean = w @ theta
-    if spec.noise_sigma == 0.0:
-        t_noisy, clamps = t_clean.copy(), 0
-    else:
-        t_noisy = rng.standard_normal(t_clean.shape)
-        t_noisy *= spec.noise_sigma
-        t_noisy += t_clean
-        clamps = int(np.count_nonzero(t_noisy < 0.0))
-        # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
-        np.maximum(0.0, t_noisy, out=t_noisy)
+    t_noisy = rng.standard_normal(t_clean.shape)
+    t_noisy *= spec.noise_sigma
+    t_noisy += t_clean
+    clamps = int(np.count_nonzero(t_noisy < 0.0))
+    # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
+    np.maximum(0.0, t_noisy, out=t_noisy)
     if not np.all(np.isfinite(t_noisy)):
         i, j = np.argwhere(~np.isfinite(t_noisy))[0]
         raise ValidationError(

@@ -143,13 +143,15 @@ class TestSynthCommand:
         )
         assert code == 3
 
-    def test_one_sample_grid_asks_for_the_time_constant(self, tmp_path, capsys):
+    # One sample spans no time; a span of 5e-324 puts t_end / 3 below the smallest double.
+    @pytest.mark.parametrize("grid", ["m=1\ndt=1", "m=2\ndt=5e-324"])
+    def test_spanless_grid_asks_for_the_time_constant(self, tmp_path, capsys, grid):
         spec = tmp_path / "spec.txt"
-        spec.write_text("n=3\nm=1\ndt=1\ncooling amp=1 weights=constant:1\n")
+        spec.write_text(f"n=3\n{grid}\ncooling amp=1 weights=constant:1\n")
         out = tmp_path / "o"
         assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: cooling: one sample fixes no time constant; give tau_c\n"
+            "error: cooling: the recording span fixes no time constant; give tau_c\n"
         )
         assert not out.exists()
 
@@ -242,7 +244,7 @@ class TestDecomposeCommand:
         assert cli.main(["decompose", *"--k 1 --dt 1 --init knowledge".split(), *paths]) == 2
         kind = curve.split()[0]
         assert capsys.readouterr().err == (
-            f"error: {kind}: one sample fixes no time constant; give {unset}\n"
+            f"error: {kind}: the recording span fixes no time constant; give {unset}\n"
         )
         assert not out.exists()
 
