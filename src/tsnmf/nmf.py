@@ -11,19 +11,23 @@ clamped at zero: the closed-form non-negative least squares minimizer, so
 the cost never increases. A component is dead, and re-seeded from the
 residual, when its squared norm is at most :data:`DEAD_COMPONENT_EPS` times
 the largest in its half, or too small to invert. The cost subtracts
-``w @ theta`` from ``t`` in place and sums the squares in one thread.
+``w @ theta`` from ``t`` in place and sums the squares in one thread. At the
+acceptance size numpy's dispatch, not arithmetic, is most of a sweep's time,
+so every sweep product is one ``np.dot`` call, which dispatches less than ``@``.
 
 :func:`solve` extrapolates between sweeps (Ang & Gillis 2019, "Accelerating
 nonnegative matrix factorization algorithms using extrapolation") and
 restarts from the last accepted iterate whenever an extrapolated sweep
 raises the cost, so its iterations are accepted sweeps and never raise it.
-One solve allocates its stacks and residual once and reuses them on every
-sweep; it forms each extrapolated guess in place, in the stacks it sweeps.
+One solve checks shapes and sets its ``errstate`` once, for every sweep and
+cost in its loop, and allocates its stacks and residual once; it forms each
+extrapolated guess in place, in the stacks it sweeps.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -103,29 +107,37 @@ class ConvergenceTrace:
     stop_reason: str = "max_iters"
     rejected: list[int] = field(default_factory=list)
 
+    @property
+    def sweeps(self) -> int:
+        """Kernel sweeps run: one per iteration, and one more per rejected one."""
+        return len(self.costs) + len(self.rejected)
+
 
 def cost(t, f: Factorization) -> float:
     """Squared Frobenius residual ``sum((t - w @ theta)**2)``.
 
     Raises :class:`NumericalError` when it overflows double precision.
     """
-    return _cost(require_matrix(t, "t"), f)
+    t = require_matrix(t, "t")
+    _require_conforming(t, f)
+    # The finiteness check reports an overflow; numpy's warning would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cost(t, f)
+
+
+def _require_conforming(t: np.ndarray, f: Factorization) -> None:
+    n, m = f.w.shape[0], f.theta.shape[1]
+    if t.shape != (n, m):
+        raise ShapeError(f"t is {t.shape[0]}x{t.shape[1]} but w @ theta is {n}x{m}")
 
 
 def _cost(t: np.ndarray, f: Factorization, out: np.ndarray | None = None) -> float:
-    """:func:`cost` without the scan of ``t`` that :func:`solve` makes once."""
-    if t.shape != (f.w.shape[0], f.theta.shape[1]):
-        raise ShapeError(
-            f"t is {t.shape[0]}x{t.shape[1]} but w @ theta is "
-            f"{f.w.shape[0]}x{f.theta.shape[1]}"
-        )
-    # The finiteness check reports an overflow; numpy's warning would repeat it.
+    """:func:`cost` without its checks or its ``errstate``, which :func:`solve` makes once."""
     # einsum sums in one thread; BLAS ddot (np.vdot, @) would start two here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.matmul(f.w, f.theta, out=out)  # the residual, in ``out`` if given
-        np.subtract(t, r, out=r)
-        value = float(np.einsum("ij,ij->", r, r))
-    if not np.isfinite(value):
+    r = np.matmul(f.w, f.theta, out=out)  # the residual, in ``out`` if given
+    np.subtract(t, r, out=r)
+    value = float(np.einsum("ij,ij->", r, r))
+    if not math.isfinite(value):
         raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
     return value
 
@@ -136,11 +148,13 @@ def reconstruct(f: Factorization) -> np.ndarray:
 
 
 class _Stacks:
-    """Sweep buffers: ``w.T`` and ``theta`` as the top K rows (``tops``, viewed
-    by ``f``) of a 2K x N and a 2K x M stack, and ``h``; per half sweep, the
-    stack, its top rows, ``y`` and the refill of its bottom rows (``halves``)."""
+    """Sweep buffers, loaded with the factors given: ``w.T`` and ``theta`` as
+    the top K rows (``tops``, viewed by ``f``) of a 2K x N and a 2K x M stack,
+    and ``h``; per half sweep, the stack, its top rows, ``y`` and the refill of
+    its bottom rows (``halves``)."""
 
-    def __init__(self, t: np.ndarray, k: int):
+    def __init__(self, t: np.ndarray, f: Factorization):
+        k = f.k
         wt, th = np.empty((2 * k, t.shape[0])), np.empty((2 * k, t.shape[1]))
         self.tops = (wt[:k], th[:k])
         self.f = Factorization(wt[:k].T, th[:k])
@@ -149,9 +163,10 @@ class _Stacks:
         self.h_diag = self.h.reshape(-1)[:: 2 * k + 1]
         self.halves = (
             # y @ t.T runs faster with y copied to column order first.
-            (wt, list(wt[:k]), th[:k], lambda: np.matmul(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
-            (th, list(th[:k]), wt[:k], lambda: np.matmul(wt[:k], t, out=th[k:])),
+            (wt, list(wt[:k]), th[:k], lambda: np.dot(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
+            (th, list(th[:k]), wt[:k], lambda: np.dot(wt[:k], t, out=th[k:])),
         )
+        self.load(f)
 
     def load(self, f: Factorization) -> None:
         self.tops[0][...], self.tops[1][...] = f.w.T, f.theta
@@ -159,7 +174,7 @@ class _Stacks:
     def products(self, y: np.ndarray, fill: Callable[[], np.ndarray]) -> list[bool]:
         """Refill the data product and ``h``; return which components are dead."""
         fill()
-        g = y @ y.T
+        g = np.dot(y, y.T)
         diag = g.diagonal().tolist()
         floor = max(DEAD_COMPONENT_EPS * max(diag), RECIPROCAL_FLOOR)
         # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
@@ -180,7 +195,7 @@ class _Stacks:
                     dead = self.products(y, fill)
                     if dead[l]:
                         continue  # revival found no usable residual; leave it idle
-                np.maximum(h_l @ z, 0.0, out=rows[l])
+                np.maximum(np.dot(h_l, z), 0.0, out=rows[l])
         return self.f
 
 
@@ -205,9 +220,8 @@ def hals_sweep(
     :class:`NumericalError`. The input is left unchanged: the sweep runs in
     new stacks, with the kernel that :func:`solve` runs in stacks it reuses.
     """
-    s = _Stacks(t, f.k)
-    s.load(f)
-    return s.sweep(on_dead)
+    _require_conforming(t, f)
+    return _Stacks(t, f).sweep(on_dead)
 
 
 def revive_dead_component(
@@ -282,16 +296,12 @@ def solve(
 
     t = require_matrix(t, "t")
     require_nonnegative(t, "t")
-    w0, theta0 = init
-    f = Factorization(
-        np.array(w0, dtype=float, copy=True), np.array(theta0, dtype=float, copy=True)
-    )
+    f = Factorization(*(np.array(a, dtype=float, copy=True) for a in init))
     f.validate()
+    _require_conforming(t, f)
     trace = ConvergenceTrace()
     # An accepted sweep rotates the three, so the loop allocates no factors.
-    prev, cur, trial = (_Stacks(t, f.k) for _ in range(3))
-    cur.load(f)
-    trial.load(f)
+    prev, cur, trial = (_Stacks(t, f) for _ in range(3))
     residual = np.empty(t.shape)
 
     def reviver(fact: Factorization, l: int) -> Factorization:

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tsnmf import (
     solve,
     time_vector,
 )
+from tsnmf import nmf
 from tsnmf.cli import build_init
 from tsnmf.dataio import TimeSeriesSet
 from tsnmf.initialization import BATH_PULSE, COOLING, HEATING
@@ -95,6 +97,14 @@ class TestCost:
         f = Factorization(np.ones((3, 1)), np.ones((1, 2)))
         with pytest.raises(ShapeError):
             cost(np.ones((2, 2)), f)
+
+    def test_overflow_raises_without_warning(self):
+        # The cost kernel sets no errstate of its own; cost sets one around it.
+        f = Factorization(np.array([[1e200]]), np.array([[1e200]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cost is not finite"):
+                cost(np.ones((1, 1)), f)
 
     @pytest.mark.parametrize("tiles", [1, 20], ids=["540x32", "10800x32"])
     def test_matches_exactly_rounded_sum(self, tiles):
@@ -325,6 +335,31 @@ class TestSolve:
         _, trace = solve(t, (init.w_init, init.theta_init))
         assert trace.stop_reason == "tol"
         assert len(trace.costs) < SolverConfig.max_iters
+
+    @pytest.mark.parametrize("run", [solve, hals_sweep], ids=["solve", "hals_sweep"])
+    @pytest.mark.parametrize(
+        "w_shape, theta_shape", [((7, 2), (2, 5)), ((6, 2), (2, 4))], ids=["rows", "columns"]
+    )
+    def test_nonconforming_init_raises_shape_error(self, run, w_shape, theta_shape):
+        init = Factorization(np.ones(w_shape), np.ones(theta_shape))
+        if run is solve:
+            init = (init.w, init.theta)
+        expected = f"t is 6x5 but w @ theta is {w_shape[0]}x{theta_shape[1]}"
+        with pytest.raises(ShapeError, match=expected):
+            run(np.ones((6, 5)), init)
+
+    def test_sweeps_counts_every_kernel_sweep(self, monkeypatch):
+        kernel, calls = nmf._Stacks.sweep, []
+
+        def counted(stacks, on_dead):
+            calls.append(on_dead)
+            return kernel(stacks, on_dead)
+
+        monkeypatch.setattr(nmf._Stacks, "sweep", counted)
+        t, w0, th0 = random_problem(4)
+        _, trace = solve(t, (w0, th0), SolverConfig(max_iters=60, rel_tol=0.0))
+        assert len(trace.rejected) >= 2
+        assert trace.sweeps == len(trace.costs) + len(trace.rejected) == len(calls)
 
     def test_rejected_sweeps_are_recorded_and_trace_descends(self):
         t, w0, th0 = random_problem(4)
