@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .linalg import pinv, require_matrix, require_nonnegative, require_rank, split_sections, svd
+from .linalg import SvdResult, pinv, require_matrix, require_nonnegative, require_rank, split_sections
 
 logger = logging.getLogger(__name__)
 
@@ -258,6 +258,34 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     )
 
 
+def _norm(x: np.ndarray) -> float:
+    # einsum sums in one thread; np.linalg.norm's BLAS ddot splits a long
+    # vector across threads, and the thread count can move its last bit.
+    return np.sqrt(np.einsum("ij,ij->", x, x))
+
+
+def _leading_triplets(t: np.ndarray, k: int) -> SvdResult:
+    """The k leading singular triplets of ``t`` from the Gram matrix of its smaller side.
+
+    ``t`` is scaled exactly by 2**-e, with e from frexp of its maximum. An
+    eigenvalue at most side * eps * lambda_1 gives sigma = 0 and a zero
+    vector on the long side. Signs follow :func:`linalg.svd`.
+    """
+    e = int(np.frexp(np.max(t))[1])
+    s = np.ldexp(t, -e)
+    wide = s.shape[0] < s.shape[1]
+    tall = s.T if wide else s
+    lam, vecs = np.linalg.eigh(np.dot(tall.T, tall))
+    floor = lam.size * np.finfo(float).eps * lam[-1]
+    lam, vecs = lam[::-1][:k], vecs[:, ::-1][:, :k]
+    sigma = np.sqrt(np.where(lam > floor, lam, 0.0))
+    other = np.divide(np.dot(tall, vecs), sigma, out=np.zeros((tall.shape[0], k)), where=sigma > 0.0)
+    u, v = (vecs, other) if wide else (other, vecs)
+    flip = u[np.argmax(np.abs(u), axis=0), range(k)] < 0.0
+    u[:, flip], v[:, flip] = -u[:, flip], -v[:, flip]
+    return SvdResult(u=u, sigma=_finite(lambda: np.ldexp(sigma, e), "the leading singular value"), v=v)
+
+
 def nndsvd_init(t, k: int) -> InitResult:
     """Build factors from positive sections of the leading SVD triplets.
 
@@ -267,28 +295,23 @@ def nndsvd_init(t, k: int) -> InitResult:
     the two mu agree to 1e-9 relative, the section with the larger v norm
     wins, then the positive one, so row order cannot change the choice. The
     first triplet uses its positive section directly, which for non-negative
-    data is the whole leading pair. Deterministic: no randomness, and the
-    SVD sign convention is fixed.
+    data is the whole leading pair. Deterministic, and ``t * 4**j`` gives
+    both factors times ``2**j`` bit for bit (:func:`_leading_triplets`).
     """
     t = require_matrix(t, "t")
     require_nonnegative(t, "t")
     require_rank(t.shape, k)
 
-    res = svd(t)
-    n, m = t.shape
-    w = np.zeros((n, k))
-    theta = np.zeros((k, m))
+    res = _leading_triplets(t, k)
+    w, theta = np.zeros((t.shape[0], k)), np.zeros((k, t.shape[1]))
     choices = []
 
     for j in range(k):
-        sigma_j = float(res.sigma[j])
-        u = res.u[:, j : j + 1]
-        v = res.v[:, j : j + 1]
-        u_pos, u_neg = split_sections(u)
-        v_pos, v_neg = split_sections(v)
-        nv_pos, nv_neg = np.linalg.norm(v_pos), np.linalg.norm(v_neg)
-        mu_pos = float(np.linalg.norm(u_pos) * nv_pos * sigma_j)
-        mu_neg = float(np.linalg.norm(u_neg) * nv_neg * sigma_j)
+        u_pos, u_neg = split_sections(res.u[:, j : j + 1])
+        v_pos, v_neg = split_sections(res.v[:, j : j + 1])
+        nv_pos, nv_neg = _norm(v_pos), _norm(v_neg)
+        mu_pos = float(_norm(u_pos) * nv_pos * res.sigma[j])
+        mu_neg = float(_norm(u_neg) * nv_neg * res.sigma[j])
         # Row order can round a tie in mu either way; it leaves v alone.
         tied = abs(mu_pos - mu_neg) < 1e-9 * max(mu_pos, mu_neg)
         if j == 0 or (nv_pos >= nv_neg if tied else mu_pos >= mu_neg):
@@ -298,8 +321,8 @@ def nndsvd_init(t, k: int) -> InitResult:
         choices.append(tag)
         if mu <= 0.0:
             continue  # degenerate triplet leaves a zero component
-        w[:, j] = np.sqrt(mu) * (u_sec[:, 0] / np.linalg.norm(u_sec))
-        theta[j] = np.sqrt(mu) * (v_sec[:, 0] / np.linalg.norm(v_sec))
+        w[:, j] = np.sqrt(mu) * (u_sec[:, 0] / _norm(u_sec))
+        theta[j] = np.sqrt(mu) * (v_sec[:, 0] / _norm(v_sec))
 
     return InitResult(
         w_init=w,

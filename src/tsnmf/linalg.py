@@ -3,8 +3,8 @@
 All routines operate on 2-D float64 numpy arrays and never mutate their
 inputs. The SVD itself is LAPACK's, reached through numpy; this module adds
 input validation, read-only results and a deterministic sign convention,
-which is what makes the NNDSVD initialization and golden-file tests
-reproducible.
+which keeps the pseudoinverse reproducible; NNDSVD takes its k leading
+triplets from a Gram eigendecomposition with the same convention.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ class SvdResult:
     """Thin singular value decomposition ``a = u @ diag(sigma) @ v.T``.
 
     ``u`` is rows x r and ``v`` is cols x r with orthonormal columns;
-    ``sigma`` holds the r = min(rows, cols) singular values in
-    non-increasing order.
+    ``sigma`` holds r non-increasing singular values: r = min(rows, cols)
+    from :func:`svd`; r = k from NNDSVD's Gram route, where a zero singular
+    value has a zero vector on the long side.
     """
 
     u: np.ndarray
@@ -72,7 +73,7 @@ def svd(a) -> SvdResult:
     """Thin SVD from LAPACK (via numpy) with a deterministic sign convention.
 
     Each (u_j, v_j) pair is flipped so the largest-magnitude entry of u_j
-    is positive; NNDSVD reproducibility depends on this convention. A LAPACK
+    is positive, the convention NNDSVD's Gram route follows too. A LAPACK
     convergence failure or a non-finite singular value raises
     :class:`NumericalError`.
     """

@@ -64,11 +64,10 @@ class Factorization:
         """Check non-negativity and shape conformity, raising on violation."""
         w = require_matrix(self.w, "w")
         theta = require_matrix(self.theta, "theta")
-        if w.shape[1] != theta.shape[0]:
-            raise ShapeError(
-                f"w has {w.shape[1]} columns but theta has {theta.shape[0]} rows"
-            )
-        require_rank((w.shape[0], theta.shape[1]), w.shape[1])
+        (n, k), (k_theta, m) = w.shape, theta.shape
+        if k != k_theta:
+            raise ShapeError(f"w is {n}x{k} but theta is {k_theta}x{m}")
+        require_rank((n, m), k)
         require_nonnegative(w, "w")
         require_nonnegative(theta, "theta")
 
@@ -126,7 +125,9 @@ def cost(t, f: Factorization) -> float:
 
 
 def _require_conforming(t: np.ndarray, f: Factorization) -> None:
-    n, m = f.w.shape[0], f.theta.shape[1]
+    (n, k), (k_theta, m) = f.w.shape, f.theta.shape
+    if k != k_theta:
+        raise ShapeError(f"w is {n}x{k} but theta is {k_theta}x{m}")
     if t.shape != (n, m):
         raise ShapeError(f"t is {t.shape[0]}x{t.shape[1]} but w @ theta is {n}x{m}")
 

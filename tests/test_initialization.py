@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+import tsnmf
 
 from tsnmf import (
     BATH_PULSE,
@@ -22,6 +29,9 @@ from tsnmf import (
     svd,
     time_vector,
 )
+from tsnmf.initialization import _leading_triplets
+
+from test_acceptance import RECOVERY_COMPONENTS, planted_dataset
 
 
 class TestTimeVector:
@@ -263,6 +273,24 @@ class TestNndsvdInit:
         with pytest.raises(ValidationError, match=r"\(2, 1\)"):
             nndsvd_init(t, 2)
 
+    def test_overflowing_singular_value_is_numerical_error(self):
+        t = np.ones((4, 3))
+        t[1] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the leading singular value overflows"):
+                nndsvd_init(t, 2)
+
+    def test_power_of_four_scales_both_factors_by_the_root(self):
+        # The Gram route sees the same bits at every scale: 2**e is exact.
+        t = planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy
+        base = nndsvd_init(t, 4)
+        for j in range(-500, 501, 7):
+            scaled = nndsvd_init(np.ldexp(t, 2 * j), 4)
+            assert np.array_equal(scaled.w_init, np.ldexp(base.w_init, j)), j
+            assert np.array_equal(scaled.theta_init, np.ldexp(base.theta_init, j)), j
+            assert scaled.diagnostics == base.diagnostics
+
     def test_dominant_choice_invariant_under_sign_flip(self):
         # Flipping (u_j, v_j) swaps the roles of the positive and negative
         # sections; the selected rank-one product must not change.
@@ -281,6 +309,83 @@ class TestNndsvdInit:
                 return mu_n * np.outer(un / np.linalg.norm(un), vn / np.linalg.norm(vn))
 
             assert np.allclose(select(u, v), select(-u, -v), atol=1e-12)
+
+
+class TestLeadingTriplets:
+    """NNDSVD's Gram-route triplets against LAPACK's thin SVD."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.random.default_rng(8).random((60, 12)),
+            np.random.default_rng(9).random((12, 60)),
+            np.random.default_rng(10).random((20, 20)),
+            1e-200 * np.random.default_rng(11).random((30, 8)),
+        ],
+        ids=["tall", "wide", "square", "tiny"],
+    )
+    def test_matches_lapack(self, t):
+        k = 4
+        got, ref = _leading_triplets(t, k), svd(t)
+        assert np.allclose(got.sigma, ref.sigma[:k], rtol=1e-12, atol=0.0)
+        gaps = -np.diff(np.append(ref.sigma, 0.0))
+        for j in range(k):
+            if min(gaps[max(j - 1, 0) : j + 1]) >= 1e-3 * ref.sigma[0]:
+                assert np.max(np.abs(got.u[:, j] - ref.u[:, j])) <= 1e-9, j
+                assert np.max(np.abs(got.v[:, j] - ref.v[:, j])) <= 1e-9, j
+
+    def test_section_weights_match_lapack_below_the_tie_rule(self):
+        # The acceptance data tiled 20x, where sigma_4 = 63.27 and sigma_5 = 62.33.
+        t = np.tile(planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy, (20, 1))
+
+        def weights(res):
+            # mu of the positive and of the negative section of each triplet
+            return np.array(
+                [
+                    np.linalg.norm(np.maximum(sign * res.u[:, :4], 0.0), axis=0)
+                    * np.linalg.norm(np.maximum(sign * res.v[:, :4], 0.0), axis=0)
+                    * res.sigma[:4]
+                    for sign in (1.0, -1.0)
+                ]
+            )
+
+        got, ref = weights(_leading_triplets(t, 4)), weights(svd(t))
+        # An error ten times below NNDSVD's 1e-9 relative tie rule.
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref.max(axis=0))
+
+    def test_zero_singular_values_give_zero_components(self):
+        # Without the eigenvalue floor the Gram route gives sigma_2 ~ 1e-8 sigma_1.
+        rng = np.random.default_rng(3)
+        t = np.outer(rng.random(12), rng.random(8))
+        got = _leading_triplets(t, 3)
+        assert got.sigma[0] > 0.0 and np.all(got.sigma[1:] == 0.0)
+        assert np.all(got.u[:, 1:] == 0.0)
+        res = nndsvd_init(t, 3)
+        assert np.all(res.w_init[:, 1:] == 0.0) and np.all(res.theta_init[1:] == 0.0)
+
+    def test_all_zero_data_gives_zero_factors(self):
+        res = nndsvd_init(np.zeros((5, 4)), 2)
+        assert not res.w_init.any() and not res.theta_init.any()
+
+    def test_same_bytes_with_one_and_two_blas_threads(self, tmp_path):
+        # OpenBLAS splits the Gram product and s @ v across threads at this size.
+        t = np.tile(planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy, (200, 1))
+        np.save(tmp_path / "t.npy", t)
+        child = (
+            "import hashlib, sys, numpy as np; from tsnmf import nndsvd_init; "
+            "r = nndsvd_init(np.load(sys.argv[1]), 4); "
+            "print(hashlib.sha256(r.w_init.tobytes() + r.theta_init.tobytes()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(tsnmf.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", child, str(tmp_path / "t.npy")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.add(out.stdout)
+        assert len(digests) == 1
 
 
 class TestRandomInit:

@@ -348,6 +348,13 @@ class TestSolve:
         with pytest.raises(ShapeError, match=expected):
             run(np.ones((6, 5)), init)
 
+    @pytest.mark.parametrize("run", [cost, hals_sweep, solve], ids=["cost", "hals_sweep", "solve"])
+    def test_factors_that_do_not_conform_raise_shape_error(self, run):
+        # cost and hals_sweep once raised numpy's broadcast and matmul errors.
+        f = Factorization(np.ones((6, 2)), np.ones((3, 5)))
+        with pytest.raises(ShapeError, match=r"^w is 6x2 but theta is 3x5$"):
+            run(np.ones((6, 5)), (f.w, f.theta) if run is solve else f)
+
     def test_sweeps_counts_every_kernel_sweep(self, monkeypatch):
         kernel, calls = nmf._Stacks.sweep, []
 
