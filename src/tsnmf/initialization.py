@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .linalg import SvdResult, pinv, require_matrix, require_nonnegative, require_rank, split_sections
+from .errors import ValidationError
+from .linalg import (SvdResult, finite, norm, orient, pinv, require_matrix, require_nonnegative,
+                     require_rank, split_sections, unit_exponent)
 
 logger = logging.getLogger(__name__)
 
@@ -203,15 +204,6 @@ class InitResult:
     diagnostics: dict
 
 
-def _finite(compute, what: str) -> np.ndarray:
-    # The check reports an overflow; numpy's warning would repeat it.
-    with np.errstate(over="ignore"):
-        value = compute()
-    if not np.all(np.isfinite(value)):
-        raise NumericalError(f"{what} overflows double precision")
-    return value
-
-
 def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     """Seed theta with physical curves and w with the clamped pseudoinverse fit.
 
@@ -231,7 +223,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     amp_default = float(np.max(t) - np.min(t))
     if amp_default <= 0.0:
         amp_default = max(float(np.max(t)), 1.0)
-    data_mean = _finite(lambda: t.mean(axis=0), "the data mean")
+    data_mean = finite(lambda: t.mean(axis=0), "the data mean")
     rows = []
     for j, spec in enumerate(specs):
         rows.append(component_curve(resolve_spec(spec, grid, amp_default), grid, data_mean))
@@ -247,7 +239,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     if duplicates:
         logger.warning("knowledge init: near-duplicate theta rows %s", duplicates)
 
-    w_raw = _finite(lambda: t @ pinv(theta), "the weight fit")
+    w_raw = finite(lambda: t @ pinv(theta), "the weight fit")
     clamped = int(np.sum(w_raw < 0.0))
     w = np.maximum(0.0, w_raw)
     return InitResult(
@@ -258,20 +250,14 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     )
 
 
-def _norm(x: np.ndarray) -> float:
-    # einsum sums in one thread; np.linalg.norm's BLAS ddot splits a long
-    # vector across threads, and the thread count can move its last bit.
-    return np.sqrt(np.einsum("ij,ij->", x, x))
-
-
 def _leading_triplets(t: np.ndarray, k: int) -> SvdResult:
     """The k leading singular triplets of ``t`` from the Gram matrix of its smaller side.
 
-    ``t`` is scaled exactly by 2**-e, with e from frexp of its maximum. An
-    eigenvalue at most side * eps * lambda_1 gives sigma = 0 and a zero
-    vector on the long side. Signs follow :func:`linalg.svd`.
+    ``t`` is scaled exactly by 2**-e, with e from :func:`linalg.unit_exponent`.
+    An eigenvalue at most side * eps * lambda_1 gives sigma = 0 and a zero
+    vector on the long side. Signs follow :func:`linalg.orient`.
     """
-    e = int(np.frexp(np.max(t))[1])
+    e = unit_exponent(t)
     s = np.ldexp(t, -e)
     wide = s.shape[0] < s.shape[1]
     tall = s.T if wide else s
@@ -281,9 +267,8 @@ def _leading_triplets(t: np.ndarray, k: int) -> SvdResult:
     sigma = np.sqrt(np.where(lam > floor, lam, 0.0))
     other = np.divide(np.dot(tall, vecs), sigma, out=np.zeros((tall.shape[0], k)), where=sigma > 0.0)
     u, v = (vecs, other) if wide else (other, vecs)
-    flip = u[np.argmax(np.abs(u), axis=0), range(k)] < 0.0
-    u[:, flip], v[:, flip] = -u[:, flip], -v[:, flip]
-    return SvdResult(u=u, sigma=_finite(lambda: np.ldexp(sigma, e), "the leading singular value"), v=v)
+    orient(u, v)
+    return SvdResult(u=u, sigma=finite(lambda: np.ldexp(sigma, e), "the leading singular value"), v=v)
 
 
 def nndsvd_init(t, k: int) -> InitResult:
@@ -309,9 +294,9 @@ def nndsvd_init(t, k: int) -> InitResult:
     for j in range(k):
         u_pos, u_neg = split_sections(res.u[:, j : j + 1])
         v_pos, v_neg = split_sections(res.v[:, j : j + 1])
-        nv_pos, nv_neg = _norm(v_pos), _norm(v_neg)
-        mu_pos = float(_norm(u_pos) * nv_pos * res.sigma[j])
-        mu_neg = float(_norm(u_neg) * nv_neg * res.sigma[j])
+        nv_pos, nv_neg = norm(v_pos), norm(v_neg)
+        mu_pos = float(norm(u_pos) * nv_pos * res.sigma[j])
+        mu_neg = float(norm(u_neg) * nv_neg * res.sigma[j])
         # Row order can round a tie in mu either way; it leaves v alone.
         tied = abs(mu_pos - mu_neg) < 1e-9 * max(mu_pos, mu_neg)
         if j == 0 or (nv_pos >= nv_neg if tied else mu_pos >= mu_neg):
@@ -321,8 +306,8 @@ def nndsvd_init(t, k: int) -> InitResult:
         choices.append(tag)
         if mu <= 0.0:
             continue  # degenerate triplet leaves a zero component
-        w[:, j] = np.sqrt(mu) * (u_sec[:, 0] / _norm(u_sec))
-        theta[j] = np.sqrt(mu) * (v_sec[:, 0] / _norm(v_sec))
+        w[:, j] = np.sqrt(mu) * (u_sec[:, 0] / norm(u_sec))
+        theta[j] = np.sqrt(mu) * (v_sec[:, 0] / norm(v_sec))
 
     return InitResult(
         w_init=w,
@@ -342,7 +327,7 @@ def random_init(t, k: int, seed: int) -> InitResult:
     t = require_matrix(t, "t")
     require_rank(t.shape, k)
     rng = np.random.default_rng(seed)
-    mean = float(_finite(t.mean, "the data mean"))
+    mean = float(finite(t.mean, "the data mean"))
     scale = np.sqrt(mean / k) if mean > 0.0 else 1.0
     w = scale * (1.0 - rng.random((t.shape[0], k)))
     theta = scale * (1.0 - rng.random((k, t.shape[1])))

@@ -1,10 +1,10 @@
-"""Dense real matrix kernels: SVD, pseudoinverse, sign splitting.
+"""Dense real matrix kernels and the numerical rules the whole package follows.
 
-All routines operate on 2-D float64 numpy arrays and never mutate their
-inputs. The SVD itself is LAPACK's, reached through numpy; this module adds
-input validation, read-only results and a deterministic sign convention,
-which keeps the pseudoinverse reproducible; NNDSVD takes its k leading
-triplets from a Gram eigendecomposition with the same convention.
+The SVD is LAPACK's, reached through numpy, with input validation, read-only
+results and one sign convention (:func:`orient`, which NNDSVD follows too).
+Sums of products run in one thread (:func:`dot`, :func:`norm`), so no result
+depends on the BLAS thread count; scaling is by exact powers of two
+(:func:`unit_exponent`); :func:`finite` reports an overflow.
 """
 
 from __future__ import annotations
@@ -17,6 +17,39 @@ from .errors import NumericalError, ValidationError
 
 # A value at or below this has no finite reciprocal.
 RECIPROCAL_FLOOR = 1.0 / np.finfo(float).max
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of ``x * y`` over all entries, in one thread: BLAS ``ddot`` (``@``,
+    ``np.vdot``, ``np.linalg.norm``) splits long vectors and moves the last bit."""
+    return np.einsum("i,i->", x.ravel(), y.ravel())
+
+
+def norm(x: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm of ``x``, summed in one thread by :func:`dot`."""
+    return np.sqrt(dot(x, x))
+
+
+def unit_exponent(x: np.ndarray) -> int:
+    """The e with ``max|x| * 2**-e`` in [0.5, 1), 0 for all-zero ``x``;
+    ``np.ldexp(x, -e)`` is exact unless an entry turns subnormal."""
+    return int(np.frexp(max(np.max(x), -np.min(x)))[1])
+
+
+def orient(u: np.ndarray, v: np.ndarray) -> None:
+    """Flip (u_j, v_j) in place so the first largest-magnitude entry of u_j is positive."""
+    flip = u[np.argmax(np.abs(u), axis=0), range(u.shape[1])] < 0.0
+    u[:, flip], v[:, flip] = -u[:, flip], -v[:, flip]
+
+
+def finite(compute, what: str) -> np.ndarray:
+    """``compute()``, or :class:`NumericalError` naming ``what`` if it is not finite."""
+    # The check reports an overflow; numpy's warning would repeat it.
+    with np.errstate(over="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"{what} overflows double precision")
+    return value
 
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -72,10 +105,8 @@ class SvdResult:
 def svd(a) -> SvdResult:
     """Thin SVD from LAPACK (via numpy) with a deterministic sign convention.
 
-    Each (u_j, v_j) pair is flipped so the largest-magnitude entry of u_j
-    is positive, the convention NNDSVD's Gram route follows too. A LAPACK
-    convergence failure or a non-finite singular value raises
-    :class:`NumericalError`.
+    Signs follow :func:`orient`. A LAPACK convergence failure or a non-finite
+    singular value raises :class:`NumericalError`.
     """
     a = require_matrix(a, "svd input")
     try:
@@ -85,13 +116,7 @@ def svd(a) -> SvdResult:
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("svd failed: a singular value is not finite")
     v = vt.T
-
-    for j in range(sigma.size):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
+    orient(u, v)
     u.setflags(write=False)
     sigma.setflags(write=False)
     v.setflags(write=False)

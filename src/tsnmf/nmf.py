@@ -11,17 +11,19 @@ clamped at zero: the closed-form non-negative least squares minimizer, so
 the cost never increases. A component is dead, and re-seeded from the
 residual, when its squared norm is at most :data:`DEAD_COMPONENT_EPS` times
 the largest in its half, or too small to invert. The cost subtracts
-``w @ theta`` from ``t`` in place and sums the squares in one thread. At the
-acceptance size numpy's dispatch, not arithmetic, is most of a sweep's time,
-so every sweep product is one ``np.dot`` call, which dispatches less than ``@``.
+``w @ theta`` from ``t`` in place and sums the squares in one thread
+(:func:`linalg.dot`). At the acceptance size numpy's dispatch, not
+arithmetic, is most of a sweep's time, so every sweep product is one
+``np.dot`` call, which dispatches less than ``@``.
 
 :func:`solve` extrapolates between sweeps (Ang & Gillis 2019, "Accelerating
 nonnegative matrix factorization algorithms using extrapolation") and
 restarts from the last accepted iterate whenever an extrapolated sweep
 raises the cost, so its iterations are accepted sweeps and never raise it.
 One solve checks shapes and sets its ``errstate`` once, for every sweep and
-cost in its loop, and allocates its stacks and residual once; it forms each
-extrapolated guess in place, in the stacks it sweeps.
+cost in its loop, and allocates its two stack pairs and residual once; it
+forms each extrapolated guess in place, over the older iterate, and sweeps it
+there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ShapeError, ValidationError
-from .linalg import RECIPROCAL_FLOOR, require_matrix, require_nonnegative, require_rank
+from .linalg import RECIPROCAL_FLOOR, dot, finite, require_matrix, require_nonnegative, require_rank
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +117,7 @@ class ConvergenceTrace:
 def cost(t, f: Factorization) -> float:
     """Squared Frobenius residual ``sum((t - w @ theta)**2)``.
 
-    Raises :class:`NumericalError` when it overflows double precision.
+    Raises :class:`NumericalError` when it is not finite.
     """
     t = require_matrix(t, "t")
     _require_conforming(t, f)
@@ -134,10 +136,9 @@ def _require_conforming(t: np.ndarray, f: Factorization) -> None:
 
 def _cost(t: np.ndarray, f: Factorization, out: np.ndarray | None = None) -> float:
     """:func:`cost` without its checks or its ``errstate``, which :func:`solve` makes once."""
-    # einsum sums in one thread; BLAS ddot (np.vdot, @) would start two here.
     r = np.matmul(f.w, f.theta, out=out)  # the residual, in ``out`` if given
     np.subtract(t, r, out=r)
-    value = float(np.einsum("ij,ij->", r, r))
+    value = float(dot(r, r))
     if not math.isfinite(value):
         raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
     return value
@@ -287,8 +288,8 @@ def solve(
     defaults to a fixed-seed generator so identical inputs give identical
     outputs. The factors are returned unscaled; :func:`normalize` scales them.
     Data whose sum of squares overflows raises :class:`NumericalError` first.
-    The sweeps reuse three stack pairs (iterates n and n - 1, and the trial
-    that holds each guess, formed in place) and one residual buffer.
+    The sweeps reuse two stack pairs and one residual buffer: the pair that
+    holds iterate n - 1 takes the guess, formed in place, and its sweep.
     """
     if config is None:
         config = SolverConfig()
@@ -301,17 +302,15 @@ def solve(
     f.validate()
     _require_conforming(t, f)
     trace = ConvergenceTrace()
-    # An accepted sweep rotates the three, so the loop allocates no factors.
-    prev, cur, trial = (_Stacks(t, f) for _ in range(3))
+    # The guess overwrites x_{n-1}; an accepted sweep swaps the pairs, so no factor is allocated.
+    prev, cur = _Stacks(t, f), _Stacks(t, f)
     residual = np.empty(t.shape)
 
     def reviver(fact: Factorization, l: int) -> Factorization:
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
-    t_sq = float(np.sum(np.multiply(t, t, out=residual)))
-    if not np.isfinite(t_sq):
-        raise NumericalError("the data's sum of squares overflows double precision")
+    t_sq = float(finite(lambda: np.sum(np.multiply(t, t, out=residual)), "the data's sum of squares"))
     d_init = _cost(t, f, residual)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
@@ -321,22 +320,22 @@ def solve(
 
     for iteration in range(1, config.max_iters + 1):
         if iteration > 1:
-            # The extrapolated guess max(0, x + beta * (x - x_prev)), in place.
-            for x, x_prev, out in zip(cur.tops, prev.tops, trial.tops):
-                np.subtract(x, x_prev, out=out)
+            # The extrapolated guess max(0, x + beta * (x - x_prev)), in place over x_prev.
+            for x, out in zip(cur.tops, prev.tops):
+                np.subtract(x, out, out=out)
                 out *= beta
                 out += x
                 np.maximum(out, 0.0, out=out)
-        current = _cost(t, trial.sweep(reviver), residual)
+        current = _cost(t, prev.sweep(reviver), residual)
         if iteration > 1 and current > costs[-1]:
             trace.rejected.append(iteration)
             beta, beta_max = beta / BETA_SHRINK, beta
-            trial.load(cur.f)
-            current = _cost(t, trial.sweep(reviver), residual)
+            prev.load(cur.f)
+            current = _cost(t, prev.sweep(reviver), residual)
         elif iteration > 1:
             beta = min(beta_max, BETA_GROW * beta)
             beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)
-        prev, cur, trial = cur, trial, prev
+        prev, cur = cur, prev
         costs.append(current)
         # One sweep can stall on a momentum reversal; judge two.
         if abs((costs[-3] if len(costs) > 2 else d_init) - current) / denom < config.rel_tol:

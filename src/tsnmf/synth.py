@@ -4,7 +4,8 @@ Datasets are planted superpositions: each recording is a non-negative
 weighted sum of component curves, optionally corrupted by additive Gaussian
 noise clamped at zero. The matching oracle scores a recovered factorization
 against the planted truth, pairing components by exhaustive permutation
-search over cosine similarity.
+search over cosine similarity; its sums run in one thread (:func:`linalg.dot`),
+so the scores do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
-from .linalg import require_rank
+from .linalg import dot, norm, require_rank, unit_exponent
 from .nmf import Factorization
 
 # The arguments of each weight model, in spec-file order.
@@ -187,33 +188,23 @@ class MatchReport:
         return float(np.mean(self.cosines))
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``x`` over the power of two just above its largest magnitude.
-
-    The division is exact, so scores keep their bits at ordinary scales, and
-    no norm of the result overflows or underflows.
-    """
-    peak = np.max(np.abs(x))
-    return np.ldexp(x, -np.frexp(peak)[1]) if peak > 0.0 else x
-
-
+# Both scores scale each vector exactly to a largest magnitude in [0.5, 1), so
+# they keep their bits at ordinary scales and no norm overflows or underflows.
 def _cosine(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = _unit_scaled(x), _unit_scaled(y)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
+    x, y = np.ldexp(x, -unit_exponent(x)), np.ldexp(y, -unit_exponent(y))
+    nx, ny = norm(x), norm(y)
     if nx == 0.0 or ny == 0.0:
         return 0.0
-    return float(x @ y / (nx * ny))
+    return float(dot(x, y) / (nx * ny))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = _unit_scaled(x), _unit_scaled(y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.linalg.norm(xc) * np.linalg.norm(yc)
+    x, y = np.ldexp(x, -unit_exponent(x)), np.ldexp(y, -unit_exponent(y))
+    xc, yc = x - x.mean(), y - y.mean()
+    denom = norm(xc) * norm(yc)
     if denom == 0.0:
         return float("nan")
-    return float(xc @ yc / denom)
+    return float(dot(xc, yc) / denom)
 
 
 def match_components(recovered: Factorization, truth: GroundTruth) -> MatchReport:
@@ -222,8 +213,12 @@ def match_components(recovered: Factorization, truth: GroundTruth) -> MatchRepor
     The search is exhaustive over all K! pairings (K <= 8), which removes
     matching ambiguity at the component counts this package targets. Of
     ``truth`` only ``w_true`` and ``theta_true`` are read. The scores do not
-    depend on the scale of either factorization.
+    depend on the scale of either factorization, nor on the BLAS thread count.
+    A ``w`` and ``theta`` that do not conform raise :class:`ShapeError`.
     """
+    for pre, w, theta in (("", recovered.w, recovered.theta), ("truth ", truth.w_true, truth.theta_true)):
+        if w.shape[1] != theta.shape[0]:
+            raise ShapeError("%sw is %dx%d but %stheta is %dx%d" % (pre, *w.shape, pre, *theta.shape))
     k = recovered.k
     if truth.theta_true.shape[0] != k:
         raise ValidationError(

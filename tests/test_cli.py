@@ -1030,6 +1030,16 @@ class TestScoreCommand:
         )
         assert code == 2
 
+    def test_factors_that_do_not_conform_exit_2(self, tmp_path, dataset, capsys):
+        rec = tmp_path / "rec"
+        rec.mkdir()
+        write_matrix_csv(rec / "w.csv", read_matrix_csv(dataset / "truth_w.csv"))
+        write_matrix_csv(rec / "theta.csv", np.ones((2, 32)))
+        argv = ["score", "--recovered", str(rec), "--truth", str(dataset), "--out", str(rec)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: w is 60x3 but theta is 2x32\n"
+        assert not (rec / "match.csv").exists()
+
     @pytest.mark.parametrize("name,shape", [("theta.csv", (3, 30)), ("w.csv", (50, 3))])
     def test_shape_mismatch_exits_2(self, tmp_path, dataset, capsys, name, shape):
         from tsnmf.dataio import write_matrix_csv

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tsnmf
 from tsnmf import NumericalError, SvdResult, ValidationError, pinv, split_sections, svd
-from tsnmf.linalg import require_nonnegative, require_rank
+from tsnmf.linalg import dot, norm, orient, require_nonnegative, require_rank, unit_exponent
 
 
 class TestSvd:
@@ -194,3 +198,71 @@ class TestInputRules:
 
     def test_negative_zero_is_accepted(self):
         require_nonnegative(np.array([[-0.0, 1.0]]), "t")
+
+
+def orient_by_loop(u, v):
+    """The per-column sign rule as a loop: the reference :func:`linalg.orient` must match."""
+    for j in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0.0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+
+
+class TestSharedRules:
+    def test_unit_exponent_of_zeros_is_zero(self):
+        assert unit_exponent(np.zeros((3, 2))) == 0
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([[-3.0, -0.25], [-1e-3, -7.5]]),
+            np.array([5e-324, 0.0, -3e-310]),
+            np.array([-1.0, 0.5]),
+            np.array([[1.7e308, -2.0]]),
+            np.random.default_rng(3).standard_normal((20, 4)),
+        ],
+        ids=["negative-only", "subnormal", "power-of-two", "near-max", "mixed"],
+    )
+    def test_unit_exponent_scales_the_peak_into_half_to_one(self, x):
+        peak = np.max(np.abs(np.ldexp(x, -unit_exponent(x))))
+        assert 0.5 <= peak < 1.0
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -0.0], [0.25, 0.1, 0.0]]),
+            np.array([[0.3, -0.7], [-0.7, 0.3], [0.7, -0.7]]),
+            np.random.default_rng(5).standard_normal((9, 4)),
+        ],
+        ids=["ties", "three-way-ties", "random"],
+    )
+    def test_orient_matches_the_column_loop(self, u):
+        # In a tie of magnitudes the loop's argmax takes the first entry.
+        v = np.random.default_rng(6).standard_normal((5, u.shape[1]))
+        ref_u, ref_v = u.copy(), v.copy()
+        orient_by_loop(ref_u, ref_v)
+        orient(u, v)
+        assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (540, 32), (10_800, 1), (10_800, 32), (108_000, 32)])
+    def test_dot_equals_the_2d_einsum_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x, y = rng.random(shape) * 800.0, rng.standard_normal(shape)
+        assert dot(x, y) == np.einsum("ij,ij->", x, y)
+        assert norm(x) == np.sqrt(np.einsum("ij,ij->", x, x))
+
+
+def test_shared_rules_have_one_home():
+    # A sum taken by BLAS ddot depends on the thread count; scaling and these
+    # sums go through linalg's helpers, so nothing outside it calls them.
+    package = Path(tsnmf.__file__).parent
+    banned = re.compile(r"np\.(linalg\.norm|vdot|frexp|einsum)\b")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if banned.search(line)
+    ]
+    assert found == []

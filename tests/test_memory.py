@@ -83,6 +83,7 @@ def test_solve_holds_one_residual_next_to_its_stacks():
     init = (truth.w_true * rng.uniform(0.5, 1.5, (n, k)), truth.theta_true + 0.01)
     (_, trace), peak = peak_bytes(solve, truth.t_noisy, init)
     assert not trace.revives
-    # The residual, three stacks of 2K x N and 2K x M, and half an N x M of slack.
-    stacks = 3 * 2 * k * (n + m) * 8
-    assert peak <= n * m * 8 + stacks + 0.5 * n * m * 8
+    # The residual, two stack pairs of 2K x N and 2K x M, and one pair's worth
+    # for the copied init and slack.
+    pair = 2 * k * (n + m) * 8
+    assert peak <= n * m * 8 + 3 * pair

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tsnmf
 from tsnmf import (
     BATH_PULSE,
     COOLING,
@@ -11,6 +15,7 @@ from tsnmf import (
     ComponentSpec,
     Factorization,
     PlantedComponent,
+    ShapeError,
     SyntheticSpec,
     ValidationError,
     WeightModel,
@@ -255,6 +260,16 @@ class TestMatchComponents:
         with pytest.raises(ValidationError, match=rf"\({n}, {m}\).*\(60, 32\)"):
             match_components(rec, self.truth)
 
+    @pytest.mark.parametrize("rows", [2, 4], ids=["fewer-theta-rows", "more-theta-rows"])
+    @pytest.mark.parametrize("pair", ["", "truth "], ids=["recovered", "truth"])
+    def test_factors_that_do_not_conform_raise_shape_error(self, pair, rows):
+        # The K check compares theta rows with w columns across the pairs, not within one.
+        theta = self.truth.theta_true[np.arange(rows) % 3]
+        rec = Factorization(self.truth.w_true, self.truth.theta_true if pair else theta)
+        truth = dataclasses.replace(self.truth, theta_true=theta) if pair else self.truth
+        with pytest.raises(ShapeError, match=rf"^{pair}w is 60x3 but {pair}theta is {rows}x32$"):
+            match_components(rec, truth)
+
     def test_total_score_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(11)
         rec = Factorization(rng.random((60, 3)), rng.random((3, 32)))
@@ -286,6 +301,31 @@ class TestMatchComponents:
         assert rep.permutation == exact.permutation
         np.testing.assert_allclose(rep.cosines, exact.cosines, rtol=1e-12)
         np.testing.assert_allclose(rep.weight_correlations, exact.weight_correlations, rtol=1e-12)
+
+
+def test_scores_are_the_same_with_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 entries across threads.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "factors.npz"
+    np.savez(path, w=rng.random((10_800, 4)), theta=rng.random((4, 32)),
+             w_true=rng.random((10_800, 4)), theta_true=rng.random((4, 32)))
+    child = (
+        "import sys, numpy as np; from tsnmf import Factorization, GroundTruth, match_components; "
+        "a = np.load(sys.argv[1]); "
+        "r = match_components(Factorization(a['w'], a['theta']), "
+        "GroundTruth(a['w_true'], a['theta_true'], None, None)); "
+        "print(r.permutation, [x.hex() for x in r.cosines + r.weight_correlations])"
+    )
+    src = os.path.dirname(os.path.dirname(tsnmf.__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
 
 
 def test_noise_sigma_for_range():
