@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (SvdResult, finite, norm, orient, pinv, require_matrix, require_nonnegative,
-                     require_rank, split_sections, unit_exponent)
+                     require_rank, split_sections, svd, unit_exponent)
 
 logger = logging.getLogger(__name__)
 
@@ -254,16 +254,17 @@ def _leading_triplets(t: np.ndarray, k: int) -> SvdResult:
     """The k leading singular triplets of ``t`` from the Gram matrix of its smaller side.
 
     ``t`` is scaled exactly by 2**-e, with e from :func:`linalg.unit_exponent`.
-    An eigenvalue at most side * eps * lambda_1 gives sigma = 0 and a zero
-    vector on the long side. Signs follow :func:`linalg.orient`.
+    The Gram matrix is positive semidefinite, so its :func:`linalg.svd` pairs are
+    its eigenpairs. An eigenvalue at most side * eps * lambda_1 gives sigma = 0
+    and a zero vector on the long side. Signs follow :func:`linalg.orient`.
     """
     e = unit_exponent(t)
     s = np.ldexp(t, -e)
     wide = s.shape[0] < s.shape[1]
     tall = s.T if wide else s
-    lam, vecs = np.linalg.eigh(np.dot(tall.T, tall))
-    floor = lam.size * np.finfo(float).eps * lam[-1]
-    lam, vecs = lam[::-1][:k], vecs[:, ::-1][:, :k]
+    gram = svd(np.dot(tall.T, tall))
+    lam, vecs = gram.sigma[:k], gram.v[:, :k].copy()  # svd's arrays are read-only
+    floor = gram.sigma.size * np.finfo(float).eps * gram.sigma[0]
     sigma = np.sqrt(np.where(lam > floor, lam, 0.0))
     other = np.divide(np.dot(tall, vecs), sigma, out=np.zeros((tall.shape[0], k)), where=sigma > 0.0)
     u, v = (vecs, other) if wide else (other, vecs)

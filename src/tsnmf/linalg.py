@@ -1,10 +1,10 @@
 """Dense real matrix kernels and the numerical rules the whole package follows.
 
-The SVD is LAPACK's, reached through numpy, with input validation, read-only
-results and one sign convention (:func:`orient`, which NNDSVD follows too).
-Sums of products run in one thread (:func:`dot`, :func:`norm`), so no result
-depends on the BLAS thread count; scaling is by exact powers of two
-(:func:`unit_exponent`); :func:`finite` reports an overflow.
+The SVD is LAPACK's ``gesdd``, the package's one ``np.linalg`` route, with input
+validation, read-only results and one sign convention (:func:`orient`); NNDSVD
+takes its triplets through it. Sums of products run in one thread (:func:`dot`,
+:func:`norm`), so no result depends on the BLAS thread count; scaling is by exact
+powers of two (:func:`unit_exponent`); :func:`finite` reports an overflow.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError
 
 # A value at or below this has no finite reciprocal.
 RECIPROCAL_FLOOR = 1.0 / np.finfo(float).max
@@ -77,6 +77,15 @@ def require_rank(shape, k: int) -> None:
         )
 
 
+def require_conforming(w: np.ndarray, theta: np.ndarray, shape=None, pre: str = "") -> None:
+    """Reject factors whose inner sizes differ, or whose product is not ``shape`` if given."""
+    (n, k), (k_theta, m) = w.shape, theta.shape
+    if k != k_theta:
+        raise ShapeError(f"{pre}w is {n}x{k} but {pre}theta is {k_theta}x{m}")
+    if shape is not None and shape != (n, m):
+        raise ShapeError(f"t is {shape[0]}x{shape[1]} but w @ theta is {n}x{m}")
+
+
 def require_nonnegative(a: np.ndarray, name: str) -> None:
     """Reject an array with a negative entry, naming the first eight."""
     if np.any(a < 0.0):
@@ -90,8 +99,8 @@ class SvdResult:
 
     ``u`` is rows x r and ``v`` is cols x r with orthonormal columns;
     ``sigma`` holds r non-increasing singular values: r = min(rows, cols)
-    from :func:`svd`; r = k from NNDSVD's Gram route, where a zero singular
-    value has a zero vector on the long side.
+    from :func:`svd`; r = k from NNDSVD's route through the :func:`svd` of a
+    Gram matrix, where a zero singular value has a zero vector on the long side.
     """
 
     u: np.ndarray
@@ -117,9 +126,8 @@ def svd(a) -> SvdResult:
         raise NumericalError("svd failed: a singular value is not finite")
     v = vt.T
     orient(u, v)
-    u.setflags(write=False)
-    sigma.setflags(write=False)
-    v.setflags(write=False)
+    for part in (u, sigma, v):
+        part.setflags(write=False)
     return SvdResult(u=u, sigma=sigma, v=v)
 
 

@@ -35,8 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, ValidationError
-from .linalg import RECIPROCAL_FLOOR, dot, finite, require_matrix, require_nonnegative, require_rank
+from .errors import NumericalError, ValidationError
+from .linalg import (RECIPROCAL_FLOOR, dot, finite, require_conforming, require_matrix,
+                     require_nonnegative, require_rank)
 
 logger = logging.getLogger(__name__)
 
@@ -63,13 +64,11 @@ class Factorization:
         return self.w.shape[1]
 
     def validate(self) -> None:
-        """Check non-negativity and shape conformity, raising on violation."""
+        """Check non-negativity and shape conformity (:func:`linalg.require_conforming`)."""
         w = require_matrix(self.w, "w")
         theta = require_matrix(self.theta, "theta")
-        (n, k), (k_theta, m) = w.shape, theta.shape
-        if k != k_theta:
-            raise ShapeError(f"w is {n}x{k} but theta is {k_theta}x{m}")
-        require_rank((n, m), k)
+        require_conforming(w, theta)
+        require_rank((w.shape[0], theta.shape[1]), w.shape[1])
         require_nonnegative(w, "w")
         require_nonnegative(theta, "theta")
 
@@ -120,18 +119,10 @@ def cost(t, f: Factorization) -> float:
     Raises :class:`NumericalError` when it is not finite.
     """
     t = require_matrix(t, "t")
-    _require_conforming(t, f)
+    require_conforming(f.w, f.theta, t.shape)
     # The finiteness check reports an overflow; numpy's warning would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         return _cost(t, f)
-
-
-def _require_conforming(t: np.ndarray, f: Factorization) -> None:
-    (n, k), (k_theta, m) = f.w.shape, f.theta.shape
-    if k != k_theta:
-        raise ShapeError(f"w is {n}x{k} but theta is {k_theta}x{m}")
-    if t.shape != (n, m):
-        raise ShapeError(f"t is {t.shape[0]}x{t.shape[1]} but w @ theta is {n}x{m}")
 
 
 def _cost(t: np.ndarray, f: Factorization, out: np.ndarray | None = None) -> float:
@@ -222,7 +213,8 @@ def hals_sweep(
     :class:`NumericalError`. The input is left unchanged: the sweep runs in
     new stacks, with the kernel that :func:`solve` runs in stacks it reuses.
     """
-    _require_conforming(t, f)
+    t = require_matrix(t, "t")
+    require_conforming(f.w, f.theta, t.shape)
     return _Stacks(t, f).sweep(on_dead)
 
 
@@ -300,7 +292,7 @@ def solve(
     require_nonnegative(t, "t")
     f = Factorization(*(np.array(a, dtype=float, copy=True) for a in init))
     f.validate()
-    _require_conforming(t, f)
+    require_conforming(f.w, f.theta, t.shape)
     trace = ConvergenceTrace()
     # The guess overwrites x_{n-1}; an accepted sweep swaps the pairs, so no factor is allocated.
     prev, cur = _Stacks(t, f), _Stacks(t, f)

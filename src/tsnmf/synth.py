@@ -15,9 +15,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
-from .linalg import dot, norm, require_rank, unit_exponent
+from .linalg import dot, norm, require_conforming, require_rank, unit_exponent
 from .nmf import Factorization
 
 # The arguments of each weight model, in spec-file order.
@@ -211,14 +211,13 @@ def match_components(recovered: Factorization, truth: GroundTruth) -> MatchRepor
     """Pair recovered and true components by maximum total cosine similarity.
 
     The search is exhaustive over all K! pairings (K <= 8), which removes
-    matching ambiguity at the component counts this package targets. Of
-    ``truth`` only ``w_true`` and ``theta_true`` are read. The scores do not
-    depend on the scale of either factorization, nor on the BLAS thread count.
-    A ``w`` and ``theta`` that do not conform raise :class:`ShapeError`.
+    matching ambiguity at the component counts this package targets. Of ``truth``
+    only ``w_true`` and ``theta_true`` are read. The scores depend neither on the
+    scale of either factorization nor on the BLAS thread count. Factors that do
+    not conform raise :class:`ShapeError` (:func:`linalg.require_conforming`).
     """
-    for pre, w, theta in (("", recovered.w, recovered.theta), ("truth ", truth.w_true, truth.theta_true)):
-        if w.shape[1] != theta.shape[0]:
-            raise ShapeError("%sw is %dx%d but %stheta is %dx%d" % (pre, *w.shape, pre, *theta.shape))
+    require_conforming(recovered.w, recovered.theta)
+    require_conforming(truth.w_true, truth.theta_true, pre="truth ")
     k = recovered.k
     if truth.theta_true.shape[0] != k:
         raise ValidationError(

@@ -432,6 +432,23 @@ class TestDecomposeCommand:
         )
         assert code == 4
 
+    def test_lapack_failure_in_nndsvd_exits_4(self, tmp_path, dataset, monkeypatch, capsys):
+        from tsnmf import nndsvd_init
+        from tsnmf.errors import NumericalError
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        # LinAlgError is a ValueError: unmapped, it would leave main as a traceback (exit 1).
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="^svd failed: did not converge$"):
+            nndsvd_init(np.ones((4, 3)), 2)
+        capsys.readouterr()
+        code, _ = run_decompose(tmp_path, dataset, "o")
+        assert code == 4
+        assert capsys.readouterr().err == "numerical failure: svd failed: did not converge\n"
+
     @pytest.mark.parametrize(
         "row,init",
         [("1,1.7e308,1.7e308,1,1.7e308,1.7e308", "nndsvd"), ("1,1,0.5,0.5,1e300", "knowledge")],

@@ -355,6 +355,25 @@ class TestSolve:
         with pytest.raises(ShapeError, match=r"^w is 6x2 but theta is 3x5$"):
             run(np.ones((6, 5)), (f.w, f.theta) if run is solve else f)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda t, f: np.array(cost(t, f)),
+            lambda t, f: hals_sweep(t, f).theta,
+            lambda t, f: solve(t, (f.w, f.theta), SolverConfig(max_iters=3))[0].theta,
+        ],
+        ids=["cost", "hals_sweep", "solve"],
+    )
+    def test_data_is_checked_as_cost_checks_it(self, run):
+        # A list has no shape, and a nan cell would come back as nan factors.
+        t, w0, th0 = random_problem(6, n=6, m=5, k=2)
+        f = Factorization(w0, th0)
+        rows = t.tolist()
+        np.testing.assert_array_equal(run(rows, f), run(t, f))
+        rows[2][3] = float("nan")
+        with pytest.raises(ValidationError, match=r"^t contains a non-finite entry at \(2, 3\)$"):
+            run(rows, f)
+
     def test_sweeps_counts_every_kernel_sweep(self, monkeypatch):
         kernel, calls = nmf._Stacks.sweep, []
 
