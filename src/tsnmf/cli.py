@@ -45,7 +45,7 @@ from .initialization import (
     nndsvd_init,
     random_init,
 )
-from .nmf import Factorization, SolverConfig, normalize, solve
+from .nmf import ConvergenceTrace, Factorization, SolverConfig, normalize, solve
 from .specfiles import build_ground_truth, parse_component_specs, parse_synthetic_spec
 from .svgplot import write_line_plot
 from .synth import GroundTruth, match_components
@@ -131,17 +131,24 @@ def build_init(
     return knowledge_init(data.values, data.grid, specs)
 
 
+def _fit(
+    strategy: str, data: TimeSeriesSet, k: int, components: str | None, seed: int, solver
+) -> tuple[InitResult, Factorization, ConvergenceTrace]:
+    """Seed with ``strategy``, then solve: every CLI fit runs through here.
+
+    One ``seed`` drives both the random init and the solver's revival draws
+    (``np.random.default_rng(seed)``), so a fit is fixed by its arguments.
+    """
+    init = build_init(strategy, data, k, components, seed)
+    rng = np.random.default_rng(seed)
+    return init, *solve(data.values, (init.w_init, init.theta_init), solver, rng=rng)
+
+
 def run_decompose(args: argparse.Namespace) -> int:
     """Ingest, initialize, solve, and write the factor/report files."""
     cfg = _merge(args)
     data = ingest_csv(cfg.input, dt=cfg.dt)
-    init = build_init(cfg.init, data, cfg.k, cfg.components, cfg.seed)
-    factors, trace = solve(
-        data.values,
-        (init.w_init, init.theta_init),
-        cfg.solver,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    init, factors, trace = _fit(cfg.init, data, cfg.k, cfg.components, cfg.seed, cfg.solver)
 
     l1_before = np.sum(np.abs(factors.theta), axis=1)
     final_cost = format_number(trace.costs[-1])
@@ -183,36 +190,17 @@ def run_decompose(args: argparse.Namespace) -> int:
 def _write_decompose_plots(
     outputs: _Outputs, data: TimeSeriesSet, factors: Factorization, costs
 ) -> None:
-    k = factors.k
-    labels = [f"component {j + 1}" for j in range(k)]
-    write_line_plot(
-        outputs.path("theta.svg"),
-        data.grid.values,
-        [factors.theta[j] for j in range(k)],
-        labels,
-        title="Component profiles",
-        x_label="time [s]",
-        y_label="profile value",
+    labels = [f"component {j + 1}" for j in range(factors.k)]
+    plots = (
+        ("theta.svg", data.grid.values, factors.theta, labels,
+         dict(title="Component profiles", x_label="time [s]", y_label="profile value")),
+        ("w.svg", np.arange(factors.w.shape[0]), factors.w.T, labels,
+         dict(title="Component weights", x_label="recording index", y_label="weight")),
+        ("trace.svg", np.arange(1, len(costs) + 1), [costs], ["cost"],
+         dict(title="Solver descent", x_label="iteration", y_label="cost", log_y=True)),
     )
-    write_line_plot(
-        outputs.path("w.svg"),
-        np.arange(factors.w.shape[0]),
-        [factors.w[:, j] for j in range(k)],
-        labels,
-        title="Component weights",
-        x_label="recording index",
-        y_label="weight",
-    )
-    write_line_plot(
-        outputs.path("trace.svg"),
-        np.arange(1, len(costs) + 1),
-        [np.asarray(costs)],
-        ["cost"],
-        title="Solver descent",
-        x_label="iteration",
-        y_label="cost",
-        log_y=True,
-    )
+    for name, x, series, names, text in plots:
+        write_line_plot(outputs.path(name), x, series, names, **text)
 
 
 def iterations_to_within(costs) -> int:
@@ -268,13 +256,7 @@ def run_compare_inits(
     for strategy in strategies:
         traces = []
         for seed in range(n_seeds) if strategy == "random" else [0]:
-            init = build_init(strategy, data, k, components, seed)
-            _, trace = solve(
-                data.values,
-                (init.w_init, init.theta_init),
-                solver,
-                rng=np.random.default_rng(seed),
-            )
+            _, _, trace = _fit(strategy, data, k, components, seed, solver)
             traces.append(trace.costs)
         iters = [iterations_to_within(costs) for costs in traces]
         longest = max(len(t) for t in traces)

@@ -141,7 +141,7 @@ def _infer_dt(times: list[float]) -> float | None:
         return None
     gaps = np.diff(np.asarray(times))
     step = float(gaps[0])
-    if step <= 0.0 or np.any(np.abs(gaps - step) > 1e-9 * max(abs(step), 1.0)):
+    if step <= 0.0 or np.any(np.abs(gaps - step) > 1e-9 * step):
         raise ValidationError("time header is not uniformly increasing; cannot infer dt")
     return step
 

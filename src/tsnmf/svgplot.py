@@ -43,17 +43,35 @@ def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    value = first
+    value = math.ceil(lo / step) * step
     while value <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:  # step under half an ulp: no later tick differs
+            break
         value += step
     return ticks
 
 
+def _limits(lo: float, hi: float) -> tuple[float, float]:
+    # An empty range widens by 1, or by one ulp where adding 1 is lost.
+    return (lo, hi) if hi > lo else (lo, max(lo + 1.0, math.nextafter(lo, math.inf)))
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".") or "0"
+
+
+def _line(x1, y1, x2, y2, stroke: str = "black", width: int = 1) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, body: str, size: int, anchor: str | None = "middle", extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
 
 
 def render_line_plot(
@@ -75,13 +93,8 @@ def render_line_plot(
         floor /= 10.0
         series = [np.log10(np.maximum(s, floor)) for s in series]
 
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo = min(float(s.min()) for s in series)
-    y_hi = max(float(s.max()) for s in series)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _limits(float(x.min()), float(x.max()))
+    y_lo, y_hi = _limits(min(float(s.min()) for s in series), max(float(s.max()) for s in series))
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -92,74 +105,38 @@ def render_line_plot(
     def sy(v: float) -> float:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    axis_y = MARGIN_TOP + plot_h
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _text(f"{WIDTH / 2:.1f}", 24, title, 16),
+        _line(MARGIN_LEFT, axis_y, MARGIN_LEFT + plot_w, axis_y),
+        _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y),
     ]
-
-    # Axes and ticks.
-    axis_y = MARGIN_TOP + plot_h
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" '
-        f'y2="{axis_y}" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{axis_y}" stroke="black" stroke-width="1"/>'
-    )
     for tick in _ticks(x_lo, x_hi):
-        px = sx(tick)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{axis_y}" x2="{px:.2f}" y2="{axis_y + 5}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
+        px = f"{sx(tick):.2f}"
+        out += [_line(px, axis_y, px, axis_y + 5), _text(px, axis_y + 18, _fmt(tick), 11)]
     for tick in _ticks(y_lo, y_hi):
-        py = sy(tick)
-        label = f"1e{_fmt(tick)}" if log_y else _fmt(tick)
-        out.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{py:.2f}" x2="{MARGIN_LEFT}" '
-            f'y2="{py:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        py, label = sy(tick), _fmt(tick)
+        out += [
+            _line(MARGIN_LEFT - 5, f"{py:.2f}", MARGIN_LEFT, f"{py:.2f}"),
+            _text(MARGIN_LEFT - 8, f"{py + 4:.2f}", f"1e{label}" if log_y else label, 11, "end"),
+        ]
 
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.1f}"
     y_title = ("log10 " if log_y else "") + y_label
-    out.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{y_title}</text>'
-    )
+    out.append(_text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 12, x_label, 13))
+    out.append(_text(18, mid_y, y_title, 13, extra=f' transform="rotate(-90 18 {mid_y})"'))
 
     for idx, (values, label) in enumerate(zip(series, labels)):
         color = PALETTE[idx % len(PALETTE)]
         points = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, values))
         out.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        ly = MARGIN_TOP + 8 + 16 * idx
-        lx = MARGIN_LEFT + plot_w - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        lx, ly = MARGIN_LEFT + plot_w - 150, MARGIN_TOP + 8 + 16 * idx
+        out += [_line(lx, ly, lx + 22, ly, color, 2), _text(lx + 28, ly + 4, label, 12, None)]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

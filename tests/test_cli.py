@@ -381,6 +381,31 @@ class TestDecomposeCommand:
         config.write_text("k = lots\n")
         assert cli.main(["decompose", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("k 2", "expected 'key = value', got 'k 2'"),
+            ("rank = 2", "unknown option 'rank'"),
+            ("plots = maybe", "expected a boolean for 'plots', got 'maybe'"),
+        ],
+    )
+    def test_bad_config_line_names_its_line(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# run settings\nk = 2\n{line}\n")
+        assert cli.main(["decompose", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:3: {message}\n"
+
+    def test_component_count_must_match_k(self, tmp_path, dataset, capsys):
+        spec = tmp_path / "curves.txt"
+        spec.write_text("mean\ncooling\n")
+        code, out = run_decompose(
+            tmp_path, dataset, "o", "--init", "knowledge", "--components", str(spec)
+        )
+        assert code == 2
+        message = "component spec file defines 2 components but k = 3"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("via_config", [False, True])
     def test_negative_seed_exits_2(self, tmp_path, dataset, capsys, via_config):
         config = tmp_path / "run.conf"

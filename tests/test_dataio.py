@@ -139,6 +139,16 @@ class TestIngest:
         with pytest.raises(ValidationError, match="uniform"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("unit", ["e-9", "", "e3"], ids=["ns", "s", "ks"])
+    def test_header_check_is_scale_free(self, tmp_path, unit):
+        # The same grids in nanoseconds, seconds and kiloseconds get the same answer.
+        path = tmp_path / "data.csv"
+        path.write_text(f"t=0,t=1{unit},t=3{unit}\n1,2,3\n")
+        with pytest.raises(ValidationError, match="uniform"):
+            ingest_csv(path)
+        path.write_text(f"t=0,t=1{unit},t=2{unit}\n1,2,3\n")
+        assert ingest_csv(path).grid.dt == float(f"1{unit}")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("\n\n")

@@ -520,6 +520,18 @@ class TestInputRules:
         with pytest.raises(ValidationError, match=message):
             ComponentSpec(COOLING, **params)
 
+    @pytest.mark.parametrize(
+        "spec,m,data_mean,message",
+        [
+            (ComponentSpec(MEAN), 4, np.ones(3), r"^data mean has shape \(3,\), expected \(4,\)$"),
+            (ComponentSpec(HEAT_KERNEL, amp=1.0, r=0.0), 1, None, "needs at least two samples$"),
+        ],
+        ids=["mean-shape", "source-kernel-one-sample"],
+    )
+    def test_curve_inputs_checked(self, spec, m, data_mean, message):
+        with pytest.raises(ValidationError, match=message):
+            component_curve(spec, time_vector(m, 1.0), data_mean)
+
     def test_nan_distance_rejected(self):
         with pytest.raises(ValidationError, match="r must be >= 0, got nan"):
             ComponentSpec(HEAT_KERNEL, r=float("nan"))

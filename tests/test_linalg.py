@@ -6,7 +6,15 @@ import pytest
 
 import tsnmf
 from tsnmf import NumericalError, SvdResult, ValidationError, pinv, split_sections, svd
-from tsnmf.linalg import dot, norm, orient, require_nonnegative, require_rank, unit_exponent
+from tsnmf.linalg import (
+    dot,
+    norm,
+    orient,
+    require_matrix,
+    require_nonnegative,
+    require_rank,
+    unit_exponent,
+)
 
 
 class TestSvd:
@@ -198,6 +206,19 @@ class TestInputRules:
 
     def test_negative_zero_is_accepted(self):
         require_nonnegative(np.array([[-0.0, 1.0]]), "t")
+
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            ([1.0, 2.0], r"must be 2-D, got 1 dimension\(s\)"),
+            (np.zeros((0, 3)), r"must be non-empty, got shape \(0, 3\)"),
+            ([[]], r"must be non-empty, got shape \(1, 0\)"),
+        ],
+        ids=["1-D", "no-rows", "no-columns"],
+    )
+    def test_matrix_shape_is_named(self, a, message):
+        with pytest.raises(ValidationError, match=rf"^t {message}$"):
+            require_matrix(a, "t")
 
 
 def orient_by_loop(u, v):

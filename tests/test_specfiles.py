@@ -179,6 +179,10 @@ class TestSyntheticSpecs:
         )
         assert (parsed.n, parsed.m, parsed.seed) == (5, 4, 0)
 
+    def test_blank_and_comment_lines_ignored(self):
+        text = "\n# planted curves\n" + SYNTH_FILE.replace("\n", "\n\n   # note\n", 3)
+        assert parse_synthetic_spec(text) == parse_synthetic_spec(SYNTH_FILE)
+
     def test_noise_and_noise_rel_conflict(self):
         text = "n=5\nm=4\ndt=1.0\nnoise=0.1\nnoise_rel=0.01\ncooling weights=constant:1\n"
         with pytest.raises(SpecFileError, match="not both"):
@@ -217,3 +221,19 @@ class TestBuildGroundTruth:
 def test_nan_parameter_is_a_spec_error_naming_its_line(line, message):
     with pytest.raises(SpecFileError, match=rf"^line 2: {message}$"):
         parse_component_specs(f"mean\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_component_specs, "mean\ncooling tau_c\n", "line 2: expected key=value, got 'tau_c'"),
+        (parse_synthetic_spec, "n=5\nm=4\ndt=1\ncooling weights=periodic:1,2,0\n",
+         "line 4: period must be positive, got 0.0"),
+        (parse_synthetic_spec, "n=5\nm=4\ndt=1\n", "no components defined"),
+    ],
+    ids=["token-without-equals", "periodic-zero-period", "no-components"],
+)
+def test_spec_defect_is_named(parse, text, message):
+    with pytest.raises(SpecFileError) as info:
+        parse(text)
+    assert str(info.value) == message

@@ -1,4 +1,14 @@
+import hashlib
+import os
+import re
+import resource
+import subprocess
+import sys
+
 import numpy as np
+import pytest
+
+import tsnmf
 
 from tsnmf.svgplot import render_line_plot, write_line_plot
 
@@ -69,3 +79,67 @@ def test_write_line_plot(tmp_path):
         y_label="y",
     )
     assert path.read_text().startswith("<svg")
+
+
+def test_sample_bytes_are_pinned():
+    # A change to any element's text changes these digests.
+    digests = [hashlib.sha256(render_sample(log_y=log).encode()).hexdigest() for log in (False, True)]
+    assert digests == [
+        "a50940198d600fd73692a30ff3ebf5d443490a7f93eb1a10edc2b051b7aa9dfc",
+        "2da67ef36c44c167922cf19cb132f7ad33ffe907e9f5da608153ae087119fc6d",
+    ]
+
+
+def _limit_memory():
+    # A tick loop that never ends grows its list until this cap stops it.
+    resource.setrlimit(resource.RLIMIT_DATA, (512 << 20, 512 << 20))
+
+
+def _run_capped(args, cwd):
+    """Run Python with ``args`` in a child, so that a plot that never ends
+    fails the test (timeout or memory cap) instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(tsnmf.__file__))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # Adding the tick step (5000) to 1e20 leaves it unchanged: half an
+        # ulp there is 8192.
+        "1e20,1.0000000000000002e+20,1e20,1.0000000000000002e+20",
+        # Widening the empty range by 1 is lost at 1e20.
+        "1e20,1e20,1e20,1e20",
+    ],
+    ids=["near-flat", "flat"],
+)
+def test_profile_of_large_magnitude_plots(tmp_path, row):
+    (tmp_path / "data.csv").write_text(f"{row}\n" * 6)
+    (tmp_path / "mean.txt").write_text("mean\n")
+    argv = ["decompose", "--input", "data.csv", "--k", "1", "--init", "knowledge"]
+    argv += ["--components", "mean.txt", "--dt", "1", "--plots", "--out", "out"]
+    _run_capped(["-m", "tsnmf.cli", *argv], tmp_path)
+    for name in ("theta.svg", "w.svg", "trace.svg"):
+        doc = (tmp_path / "out" / name).read_text()
+        for anchor in ("middle", "end"):  # x-axis and y-axis tick labels
+            pattern = f'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<'
+            labels = re.findall(pattern, doc)
+            assert labels and len(set(labels)) == len(labels), (name, anchor, labels)
+
+
+@pytest.mark.parametrize("x,y", [([1e17], [1.0]), ([0.0, 1.0], [1e20, 1e20])], ids=["x", "y"])
+def test_flat_series_at_large_magnitude_renders(tmp_path, x, y):
+    code = "import sys\nfrom tsnmf.svgplot import render_line_plot\n"
+    code += f"doc = render_line_plot({x}, [{y}], ['a'], title='t', x_label='x', y_label='y')\n"
+    code += "sys.stdout.write(doc)"
+    doc = _run_capped(["-c", code], tmp_path)
+    assert "<polyline" in doc and "nan" not in doc

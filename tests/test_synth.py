@@ -270,6 +270,13 @@ class TestMatchComponents:
         with pytest.raises(ShapeError, match=rf"^{pair}w is 60x3 but {pair}theta is {rows}x32$"):
             match_components(rec, truth)
 
+    def test_more_than_eight_components_rejected(self):
+        rng = np.random.default_rng(0)
+        w, theta = rng.random((12, 9)), rng.random((9, 10))
+        truth = dataclasses.replace(self.truth, w_true=w, theta_true=theta)
+        with pytest.raises(ValidationError, match=r"^exhaustive matching limited to K <= 8, got 9$"):
+            match_components(Factorization(w, theta), truth)
+
     def test_total_score_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(11)
         rec = Factorization(rng.random((60, 3)), rng.random((3, 32)))
@@ -356,3 +363,15 @@ def test_component_count_is_the_rank_bound(count):
     message = rf"^rank {count} out of range for a 2x32 matrix \(need 1 <= k <= min\(N, M\) = 2\)$"
     with pytest.raises(ValidationError, match=message):
         SyntheticSpec(n=2, grid=GRID, components=(component,) * count)
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ({"n": 0}, "need at least one recording, got n = 0"),
+        ({"noise_sigma": -1.0}, "noise_sigma must be >= 0, got -1.0"),
+    ],
+)
+def test_spec_fields_are_checked(field, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dataclasses.replace(three_component_spec(), **field)
