@@ -14,12 +14,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import (SvdResult, finite, norm, orient, pinv, require_matrix, require_nonnegative,
-                     require_rank, split_sections, svd, unit_exponent)
+                     require_rank, row_blocks, split_sections, svd, unit_exponent)
 
 logger = logging.getLogger(__name__)
 
@@ -253,20 +254,24 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
 def _leading_triplets(t: np.ndarray, k: int) -> SvdResult:
     """The k leading singular triplets of ``t`` from the Gram matrix of its smaller side.
 
-    ``t`` is scaled exactly by 2**-e, with e from :func:`linalg.unit_exponent`.
-    The Gram matrix is positive semidefinite, so its :func:`linalg.svd` pairs are
-    its eigenpairs. An eigenvalue at most side * eps * lambda_1 gives sigma = 0
-    and a zero vector on the long side. Signs follow :func:`linalg.orient`.
+    ``t`` is scaled exactly by 2**-e, with e from :func:`linalg.unit_exponent`, one
+    :func:`linalg.row_blocks` block of its long side at a time, and the Gram matrix
+    sums the blocks' in order. It is positive semidefinite, so its :func:`linalg.svd`
+    pairs are its eigenpairs. An eigenvalue at most side * eps * lambda_1 gives
+    sigma = 0 and a zero vector on the long side. Signs follow :func:`linalg.orient`.
     """
     e = unit_exponent(t)
-    s = np.ldexp(t, -e)
-    wide = s.shape[0] < s.shape[1]
-    tall = s.T if wide else s
-    gram = svd(np.dot(tall.T, tall))
+    wide = t.shape[0] < t.shape[1]
+    tall = t.T if wide else t
+    blocks = row_blocks(tall.shape[0])
+    scaled = (np.ldexp(tall[b], -e) for b in blocks)
+    gram = svd(reduce(np.add, (np.dot(s.T, s) for s in scaled)))
     lam, vecs = gram.sigma[:k], gram.v[:, :k].copy()  # svd's arrays are read-only
     floor = gram.sigma.size * np.finfo(float).eps * gram.sigma[0]
     sigma = np.sqrt(np.where(lam > floor, lam, 0.0))
-    other = np.divide(np.dot(tall, vecs), sigma, out=np.zeros((tall.shape[0], k)), where=sigma > 0.0)
+    other = np.zeros((tall.shape[0], k))
+    for b in blocks:
+        np.divide(np.dot(np.ldexp(tall[b], -e), vecs), sigma, out=other[b], where=sigma > 0.0)
     u, v = (vecs, other) if wide else (other, vecs)
     orient(u, v)
     return SvdResult(u=u, sigma=finite(lambda: np.ldexp(sigma, e), "the leading singular value"), v=v)

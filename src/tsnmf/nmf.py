@@ -10,11 +10,11 @@ update is then one product of a row of ``[-G, I] / diag(G)`` with the stack,
 clamped at zero: the closed-form non-negative least squares minimizer, so
 the cost never increases. A component is dead, and re-seeded from the
 residual, when its squared norm is at most :data:`DEAD_COMPONENT_EPS` times
-the largest in its half, or too small to invert. The cost subtracts
-``w @ theta`` from ``t`` in place and sums the squares in one thread
-(:func:`linalg.dot`). At the acceptance size numpy's dispatch, not
-arithmetic, is most of a sweep's time, so every sweep product is one
-``np.dot`` call, which dispatches less than ``@``.
+the largest in its half, or too small to invert. The cost and ``w.T @ t``
+sum in order over fixed row blocks of ``t`` (:func:`linalg.row_blocks`),
+the cost's squares in one thread (:func:`linalg.dot`). At the acceptance
+size numpy's dispatch, not arithmetic, is most of a sweep's time, so every
+sweep product is one ``np.dot`` call, which dispatches less than ``@``.
 
 :func:`solve` extrapolates between sweeps (Ang & Gillis 2019, "Accelerating
 nonnegative matrix factorization algorithms using extrapolation") and
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .linalg import (RECIPROCAL_FLOOR, dot, finite, require_conforming, require_matrix,
-                     require_nonnegative, require_rank)
+                     require_nonnegative, require_rank, row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -122,14 +122,18 @@ def cost(t, f: Factorization) -> float:
     require_conforming(f.w, f.theta, t.shape)
     # The finiteness check reports an overflow; numpy's warning would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _cost(t, f)
+        return _cost([(f.w[b], t[b], None) for b in row_blocks(t.shape[0])], f.theta)
 
 
-def _cost(t: np.ndarray, f: Factorization, out: np.ndarray | None = None) -> float:
-    """:func:`cost` without its checks or its ``errstate``, which :func:`solve` makes once."""
-    r = np.matmul(f.w, f.theta, out=out)  # the residual, in ``out`` if given
-    np.subtract(t, r, out=r)
-    value = float(dot(r, r))
+def _cost(parts: list, theta: np.ndarray) -> float:
+    """:func:`cost` without its checks or its ``errstate``, which :func:`solve` makes once,
+    summed in order over ``parts``: per :func:`linalg.row_blocks` block, the rows of
+    ``w`` and ``t`` and a buffer for the block's residual (None: a new array)."""
+    value = 0.0
+    for w_b, t_b, out in parts:
+        r = np.matmul(w_b, theta, out=out)
+        np.subtract(t_b, r, out=r)
+        value += float(dot(r, r))
     if not math.isfinite(value):
         raise NumericalError(f"cost is not finite ({value!r}); the data or factors overflow")
     return value
@@ -144,20 +148,28 @@ class _Stacks:
     """Sweep buffers, loaded with the factors given: ``w.T`` and ``theta`` as
     the top K rows (``tops``, viewed by ``f``) of a 2K x N and a 2K x M stack,
     and ``h``; per half sweep, the stack, its top rows, ``y`` and the refill of
-    its bottom rows (``halves``)."""
+    its bottom rows (``halves``). ``w.T @ t`` sums over ``parts`` (block, rows of t,
+    residual buffer) in order; ``cost_parts`` adds the block's rows of w, for :func:`_cost`."""
 
-    def __init__(self, t: np.ndarray, f: Factorization):
+    def __init__(self, t: np.ndarray, f: Factorization, parts: list):
         k = f.k
         wt, th = np.empty((2 * k, t.shape[0])), np.empty((2 * k, t.shape[1]))
+        first, *rest = [(wt[:k, b], t_b) for b, t_b, _ in parts]
+
+        def theta_product():
+            np.dot(*first, out=th[k:])
+            for w_b, t_b in rest:
+                th[k:] += np.dot(w_b, t_b)
         self.tops = (wt[:k], th[:k])
         self.f = Factorization(wt[:k].T, th[:k])
+        self.cost_parts = [(self.f.w[b], t_b, out) for b, t_b, out in parts]
         self.h, self.neg_eye = np.empty((k, 2 * k)), -np.eye(k)
         self.h_rows, self.h_g, self.h_eye = list(self.h), self.h[:, :k], self.h[:, k:]
         self.h_diag = self.h.reshape(-1)[:: 2 * k + 1]
         self.halves = (
             # y @ t.T runs faster with y copied to column order first.
             (wt, list(wt[:k]), th[:k], lambda: np.dot(np.asfortranarray(th[:k]), t.T, out=wt[k:])),
-            (th, list(th[:k]), wt[:k], lambda: np.dot(wt[:k], t, out=th[k:])),
+            (th, list(th[:k]), wt[:k], theta_product),
         )
         self.load(f)
 
@@ -215,7 +227,7 @@ def hals_sweep(
     """
     t = require_matrix(t, "t")
     require_conforming(f.w, f.theta, t.shape)
-    return _Stacks(t, f).sweep(on_dead)
+    return _Stacks(t, f, [(b, t[b], None) for b in row_blocks(t.shape[0])]).sweep(on_dead)
 
 
 def revive_dead_component(
@@ -224,15 +236,20 @@ def revive_dead_component(
     """Re-seed a collapsed component from the current residual.
 
     With ``a`` the largest weight (or 1), the theta row becomes the residual
-    row of largest L2 norm, clamped at zero, over ``a``, and the w column noise
-    in (0, 1e-3 * a]: the revived term scales as the data, split like the rest.
+    row of largest L2 norm (the first; formed by row blocks), clamped at zero, over
+    ``a``, and the w column noise in (0, 1e-3 * a]: the revived term scales as the
+    data, split like the rest.
     """
     out = f.copy()
-    residual = t - out.w @ out.theta
-    row = int(np.argmax(np.sum(residual * residual, axis=1)))
+    best, row = -math.inf, None
+    for b in row_blocks(t.shape[0]):
+        residual = t[b] - out.w[b] @ out.theta
+        sq = np.sum(residual * residual, axis=1)
+        if row is None or sq.max() > best:
+            best, row = sq.max(), residual[np.argmax(sq)].copy()
     a = float(np.max(out.w)) or 1.0
     out.w[:, l] = 1e-3 * a * (1.0 - rng.random(out.w.shape[0]))
-    out.theta[l] = np.maximum(0.0, residual[row]) / a
+    out.theta[l] = np.maximum(0.0, row) / a
     return out
 
 
@@ -280,8 +297,8 @@ def solve(
     defaults to a fixed-seed generator so identical inputs give identical
     outputs. The factors are returned unscaled; :func:`normalize` scales them.
     Data whose sum of squares overflows raises :class:`NumericalError` first.
-    The sweeps reuse two stack pairs and one residual buffer: the pair that
-    holds iterate n - 1 takes the guess, formed in place, and its sweep.
+    The sweeps reuse two stack pairs and a residual buffer of one row block:
+    the pair that holds iterate n - 1 takes the guess, formed in place, and its sweep.
     """
     if config is None:
         config = SolverConfig()
@@ -295,15 +312,17 @@ def solve(
     require_conforming(f.w, f.theta, t.shape)
     trace = ConvergenceTrace()
     # The guess overwrites x_{n-1}; an accepted sweep swaps the pairs, so no factor is allocated.
-    prev, cur = _Stacks(t, f), _Stacks(t, f)
-    residual = np.empty(t.shape)
+    blocks = row_blocks(t.shape[0])
+    residual = np.empty((blocks[0].stop, t.shape[1]))  # the first block is the longest
+    parts = [(b, t[b], residual[: b.stop - b.start]) for b in blocks]
+    prev, cur = _Stacks(t, f, parts), _Stacks(t, f, parts)
 
     def reviver(fact: Factorization, l: int) -> Factorization:
         trace.revives.append((iteration, l))
         return revive_dead_component(t, fact, l, rng)
 
-    t_sq = float(finite(lambda: np.sum(np.multiply(t, t, out=residual)), "the data's sum of squares"))
-    d_init = _cost(t, f, residual)
+    t_sq = float(finite(lambda: sum(dot(t[b], t[b]) for b in blocks), "the data's sum of squares"))
+    d_init = _cost([(f.w[b], t_b, out) for b, t_b, out in parts], f.theta)
     # Floor the relative-change denominator at the roundoff scale of the
     # cost so an exactly-solved start still stops after one sweep.
     denom = max(d_init, np.finfo(float).eps * t_sq, np.finfo(float).tiny)
@@ -318,12 +337,12 @@ def solve(
                 out *= beta
                 out += x
                 np.maximum(out, 0.0, out=out)
-        current = _cost(t, prev.sweep(reviver), residual)
+        current = _cost(prev.cost_parts, prev.sweep(reviver).theta)
         if iteration > 1 and current > costs[-1]:
             trace.rejected.append(iteration)
             beta, beta_max = beta / BETA_SHRINK, beta
             prev.load(cur.f)
-            current = _cost(t, prev.sweep(reviver), residual)
+            current = _cost(prev.cost_parts, prev.sweep(reviver).theta)
         elif iteration > 1:
             beta = min(beta_max, BETA_GROW * beta)
             beta_max = min(BETA_MAX, BETA_MAX_GROW * beta_max)

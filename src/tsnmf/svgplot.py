@@ -39,9 +39,9 @@ def _nice_step(span: float) -> float:
     return 10.0 * power
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     if hi <= lo:
-        return [lo]
+        return [(lo, _fmt(lo, 2))]
     step = _nice_step(hi - lo)
     ticks = []
     value = math.ceil(lo / step) * step
@@ -50,7 +50,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
         if value + step == value:  # step under half an ulp: no later tick differs
             break
         value += step
-    return ticks
+    decimals = max(2, -math.floor(math.log10(step)))  # so labels one step apart differ
+    return [(tick, _fmt(tick, decimals)) for tick in ticks]
 
 
 def _limits(lo: float, hi: float) -> tuple[float, float]:
@@ -58,8 +59,8 @@ def _limits(lo: float, hi: float) -> tuple[float, float]:
     return (lo, hi) if hi > lo else (lo, max(lo + 1.0, math.nextafter(lo, math.inf)))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}".rstrip("0").rstrip(".") or "0"
+def _fmt(value: float, decimals: int) -> str:
+    return f"{value:.{decimals}f}".rstrip("0").rstrip(".") or "0"
 
 
 def _line(x1, y1, x2, y2, stroke: str = "black", width: int = 1) -> str:
@@ -114,11 +115,11 @@ def render_line_plot(
         _line(MARGIN_LEFT, axis_y, MARGIN_LEFT + plot_w, axis_y),
         _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y),
     ]
-    for tick in _ticks(x_lo, x_hi):
+    for tick, label in _ticks(x_lo, x_hi):
         px = f"{sx(tick):.2f}"
-        out += [_line(px, axis_y, px, axis_y + 5), _text(px, axis_y + 18, _fmt(tick), 11)]
-    for tick in _ticks(y_lo, y_hi):
-        py, label = sy(tick), _fmt(tick)
+        out += [_line(px, axis_y, px, axis_y + 5), _text(px, axis_y + 18, label, 11)]
+    for tick, label in _ticks(y_lo, y_hi):
+        py = sy(tick)
         out += [
             _line(MARGIN_LEFT - 5, f"{py:.2f}", MARGIN_LEFT, f"{py:.2f}"),
             _text(MARGIN_LEFT - 8, f"{py + 4:.2f}", f"1e{label}" if log_y else label, 11, "end"),

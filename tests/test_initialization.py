@@ -321,8 +321,10 @@ class TestLeadingTriplets:
             np.random.default_rng(9).random((12, 60)),
             np.random.default_rng(10).random((20, 20)),
             1e-200 * np.random.default_rng(11).random((30, 8)),
+            np.random.default_rng(12).random((5_000, 12)),
+            np.random.default_rng(13).random((12, 5_000)),
         ],
-        ids=["tall", "wide", "square", "tiny"],
+        ids=["tall", "wide", "square", "tiny", "tall_row_blocks", "wide_row_blocks"],
     )
     def test_matches_lapack(self, t):
         k = 4

@@ -278,9 +278,13 @@ def test_shared_rules_have_one_home():
     # A sum taken by BLAS ddot depends on the thread count; scaling and these
     # sums go through linalg's helpers, so nothing outside it calls them. LAPACK
     # is reached through linalg.svd alone, and factor-pair conformity through
-    # linalg.require_conforming.
+    # linalg.require_conforming. Sums over the long side run in linalg.row_blocks,
+    # so no module holds a full-size scratch copy of t; ROW_BLOCK is the one block size.
     package = Path(tsnmf.__file__).parent
-    banned = re.compile(r"np\.(linalg\.|(vdot|frexp|einsum)\b)|but \S*(w @ )?theta is")
+    banned = re.compile(
+        r"np\.(linalg\.|(vdot|frexp|einsum)\b)|but \S*(w @ )?theta is"
+        r"|np\.ldexp\(t\b|np\.empty\(t\.shape\)|^\s*[A-Z_]*BLOCK[A-Z_]*\s*="
+    )
     found = [
         f"{path.name}:{number}: {line.strip()}"
         for path in sorted(package.glob("*.py"))
@@ -289,3 +293,5 @@ def test_shared_rules_have_one_home():
         if banned.search(line)
     ]
     assert found == []
+    sizes = re.findall(r"^[A-Z_]*BLOCK[A-Z_]*\s*=", (package / "linalg.py").read_text(), re.M)
+    assert sizes == ["ROW_BLOCK ="]

@@ -21,7 +21,9 @@ from tsnmf import (
     time_vector,
 )
 from tsnmf.dataio import ingest_csv, write_matrix_csv
-from tsnmf.nmf import solve
+from tsnmf.initialization import nndsvd_init
+from tsnmf.linalg import ROW_BLOCK
+from tsnmf.nmf import Factorization, revive_dead_component, solve
 
 
 def peak_bytes(fn, *args):
@@ -83,7 +85,32 @@ def test_solve_holds_one_residual_next_to_its_stacks():
     init = (truth.w_true * rng.uniform(0.5, 1.5, (n, k)), truth.theta_true + 0.01)
     (_, trace), peak = peak_bytes(solve, truth.t_noisy, init)
     assert not trace.revives
-    # The residual, two stack pairs of 2K x N and 2K x M, and one pair's worth
-    # for the copied init and slack.
+    # One row block of the residual, two stack pairs of 2K x N and 2K x M, and
+    # one pair's worth for the copied init and slack.
     pair = 2 * k * (n + m) * 8
-    assert peak <= n * m * 8 + 3 * pair
+    assert peak <= ROW_BLOCK * m * 8 + 3 * pair
+
+
+def test_nndsvd_holds_no_scaled_copy_of_the_data():
+    n, m = 20_000, 32
+    t = generate(planted_spec(n, m, 0.3)).t_noisy
+    res, peak = peak_bytes(nndsvd_init, t, 3)
+    assert res.w_init.shape == (n, 3)
+    assert peak < 0.5 * n * m * 8
+
+
+def test_revival_forms_the_residual_one_block_at_a_time():
+    n, m, k, l = 20_000, 32, 3, 1
+    truth = generate(planted_spec(n, m, 0.3))
+    t, f = truth.t_noisy, Factorization(truth.w_true.copy(), truth.theta_true.copy())
+    f.w[:, l] = 0.0
+    got, peak = peak_bytes(revive_dead_component, t, f, l, np.random.default_rng(5))
+    # The whole residual, as the revival rule states it.
+    residual = t - f.w @ f.theta
+    row = residual[np.argmax(np.sum(residual * residual, axis=1))]
+    a = float(np.max(f.w))
+    w_l = 1e-3 * a * (1.0 - np.random.default_rng(5).random(n))
+    assert got.theta[l].tobytes() == (np.maximum(0.0, row) / a).tobytes()
+    assert got.w[:, l].tobytes() == w_l.tobytes()
+    # The copied factors, the drawn column and its temporaries, and three row blocks.
+    assert peak <= (n * k + k * m) * 8 + 3 * n * 8 + 3 * ROW_BLOCK * m * 8

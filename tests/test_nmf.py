@@ -1,6 +1,9 @@
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,11 +28,13 @@ from tsnmf import (
     nndsvd_init,
     noise_sigma_for_range,
     normalize,
+    random_init,
     reconstruct,
     revive_dead_component,
     solve,
     time_vector,
 )
+import tsnmf
 from tsnmf import nmf
 from tsnmf.cli import build_init
 from tsnmf.dataio import TimeSeriesSet
@@ -575,6 +580,36 @@ class TestSolveReplay:
         assert len(trace.revives) >= 2
 
 
+@pytest.mark.parametrize("n", [10_000, 10_800])
+def test_solve_gives_the_same_bytes_with_one_and_two_blas_threads(tmp_path, n):
+    # OpenBLAS splits w.T @ t across threads when it sums over this many rows.
+    t = np.tile(planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy, (20, 1))[:n]
+    inits = {"knowledge": knowledge_init(t, GRID, INIT_SPECS), "nndsvd": nndsvd_init(t, 4),
+             "random": random_init(t, 4, seed=0)}
+    np.savez(tmp_path / "problem.npz", t=t,
+             **{f"{name}_{part}": getattr(init, f"{part}_init")
+                for name, init in inits.items() for part in ("w", "theta")})
+    child = "\n".join([
+        "import hashlib, sys, numpy as np",
+        "from tsnmf import SolverConfig, solve",
+        "a = np.load(sys.argv[1])",
+        f"for name in {list(inits)}:",
+        "    f, trace = solve(a['t'], (a[name + '_w'], a[name + '_theta']), SolverConfig(5, 0.0))",
+        "    digest = hashlib.sha256(f.w.tobytes() + f.theta.tobytes()).hexdigest()",
+        "    print(name, digest, [c.hex() for c in trace.costs])",
+    ])
+    src = os.path.dirname(os.path.dirname(tsnmf.__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "problem.npz")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+
+
 class TestSolveAliasing:
     def test_init_arrays_are_left_alone(self):
         t, w0, th0 = random_problem(4)
@@ -672,8 +707,6 @@ def test_factorization_rank_bound_message():
 def test_revivals_do_not_depend_on_the_data_scale(exponent):
     # k = 4 on 4x5 uniform draws revives a component. A power of four scales
     # the data, the random start and every step of the solve exactly.
-    from tsnmf import random_init
-
     t = np.random.default_rng(1).random((4, 5))
     runs = []
     for scale in (1.0, 2.0**exponent):

@@ -81,6 +81,15 @@ def test_write_line_plot(tmp_path):
     assert path.read_text().startswith("<svg")
 
 
+def test_ticks_closer_than_a_hundredth_get_distinct_labels():
+    doc = render_line_plot(
+        np.arange(4) * 1e-3, [[0.001, 0.002, 0.003, 0.004]], ["c"],
+        title="t", x_label="x", y_label="y",
+    )
+    labels = re.findall(r'font-size="11"[^>]*>([^<]*)<', doc)
+    assert labels == ["0", "0.001", "0.002", "0.003", "0.001", "0.002", "0.003", "0.004"]
+
+
 def test_sample_bytes_are_pinned():
     # A change to any element's text changes these digests.
     digests = [hashlib.sha256(render_sample(log_y=log).encode()).hexdigest() for log in (False, True)]
