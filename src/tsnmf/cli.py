@@ -46,9 +46,9 @@ from .initialization import (
     random_init,
 )
 from .nmf import ConvergenceTrace, Factorization, SolverConfig, normalize, solve
-from .specfiles import build_ground_truth, parse_component_specs, parse_synthetic_spec
+from .specfiles import parse_component_specs, parse_synthetic_spec
 from .svgplot import write_line_plot
-from .synth import GroundTruth, match_components
+from .synth import GroundTruth, generate, match_components
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -302,8 +302,8 @@ def run_compare_inits(
 def run_synth(args: argparse.Namespace) -> int:
     """Generate a dataset plus its planted factors from a spec file."""
     with open(args.spec, "r", encoding="utf-8-sig") as fh:
-        parsed = parse_synthetic_spec(fh.read())
-    spec, truth = build_ground_truth(parsed)
+        spec = parse_synthetic_spec(fh.read())
+    truth = generate(spec)
     with _Outputs(args.out) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), truth.t_noisy, grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), truth.w_true)

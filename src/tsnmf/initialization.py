@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -46,7 +46,7 @@ class TimeGrid:
 
     m: int
     dt: float
-    values: np.ndarray
+    values: np.ndarray = field(compare=False)  # fixed by m and dt
 
     @property
     def t_end(self) -> float:

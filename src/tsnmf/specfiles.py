@@ -13,17 +13,14 @@ lines. Directives: ``n`` (recordings), ``m`` (time points), ``dt``
 and either ``noise`` (absolute Gaussian sigma) or ``noise_rel`` (fraction
 of the clean data range). Weight models: ``constant:VALUE``,
 ``drift:BASE,SLOPE``, ``periodic:BASE,AMP,PERIOD``, ``walk:BASE,STEP``.
+The parser returns the :class:`synth.SyntheticSpec` that ``generate`` takes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .errors import SpecFileError, ValidationError
 from .initialization import CURVE_KINDS, CURVE_PARAMS, ComponentSpec, time_vector
-from .synth import WEIGHT_ARGS, GroundTruth, PlantedComponent, SyntheticSpec, WeightModel
-from .synth import generate, noise_sigma_for_range
+from .synth import WEIGHT_ARGS, GroundTruth, PlantedComponent, SyntheticSpec, WeightModel, generate
 
 
 def _strip_comment(line: str) -> str:
@@ -112,18 +109,7 @@ def _parse_weight_model(clause: str, line_no: int) -> WeightModel:
         raise SpecFileError(str(exc), line=line_no) from None
 
 
-@dataclass(frozen=True)
-class ParsedSyntheticSpec:
-    n: int
-    m: int
-    dt: float
-    seed: int
-    noise_abs: float
-    noise_rel: float | None
-    components: tuple[PlantedComponent, ...]
-
-
-def parse_synthetic_spec(text: str) -> ParsedSyntheticSpec:
+def parse_synthetic_spec(text: str) -> SyntheticSpec:
     """Parse a synthetic spec file body (directives plus component lines)."""
     directives: dict[str, float] = {}
     directive_lines: dict[str, int] = {}
@@ -168,36 +154,17 @@ def parse_synthetic_spec(text: str) -> ParsedSyntheticSpec:
         raise SpecFileError("no components defined")
     if "noise" in directives and "noise_rel" in directives:
         raise SpecFileError("give either noise or noise_rel, not both")
-    return ParsedSyntheticSpec(
+    return SyntheticSpec(
         n=int(directives["n"]),
-        m=int(directives["m"]),
-        dt=float(directives["dt"]),
-        seed=int(directives.get("seed", 0)),
-        noise_abs=float(directives.get("noise", 0.0)),
-        noise_rel=(
-            float(directives["noise_rel"]) if "noise_rel" in directives else None
-        ),
+        grid=time_vector(int(directives["m"]), directives["dt"]),
         components=tuple(components),
+        noise_sigma=directives.get("noise", 0.0),
+        seed=int(directives.get("seed", 0)),
+        noise_rel=directives.get("noise_rel"),
     )
 
 
-def build_ground_truth(parsed: ParsedSyntheticSpec) -> tuple[SyntheticSpec, GroundTruth]:
-    """Generate data from a parsed spec, resolving relative noise levels.
-
-    Relative noise needs the clean data range, so the dataset is generated
-    once noiselessly to measure it and then regenerated with the absolute
-    sigma; the clean data is identical across both passes (same seed).
-    """
-    spec = SyntheticSpec(
-        n=parsed.n,
-        grid=time_vector(parsed.m, parsed.dt),
-        components=parsed.components,
-        noise_sigma=parsed.noise_abs,
-        seed=parsed.seed,
-    )
-    if parsed.noise_rel is not None:
-        # Only the range outlives the noiseless pass, so the two passes' data never coexist.
-        noiseless = dataclasses.replace(spec, noise_sigma=0.0)
-        sigma = noise_sigma_for_range(generate(noiseless).t_clean, parsed.noise_rel)
-        spec = dataclasses.replace(spec, noise_sigma=sigma)
+def build_ground_truth(spec: SyntheticSpec) -> tuple[SyntheticSpec, GroundTruth]:
+    """``(spec, generate(spec))``, kept because the benchmark harness
+    (``perfbench/workloads.py``) calls ``build_ground_truth(parse_synthetic_spec(text))[1]``."""
     return spec, generate(spec)

@@ -85,14 +85,19 @@ class SyntheticSpec:
     components: tuple[PlantedComponent, ...]
     noise_sigma: float = 0.0
     seed: int = 0
+    noise_rel: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"need at least one recording, got n = {self.n}")
-        if self.noise_sigma < 0.0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not np.isfinite(self.noise_sigma):
-            raise ValidationError(f"noise_sigma must be finite, got {self.noise_sigma}")
+        if self.noise_rel is not None and self.noise_sigma != 0.0:
+            raise ValidationError("give either noise_sigma or noise_rel, not both")
+        levels = (("noise_sigma", self.noise_sigma), ("noise_rel", self.noise_rel or 0.0))
+        for name, level in levels:
+            if level < 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {level}")
+            if not np.isfinite(level):
+                raise ValidationError(f"{name} must be finite, got {level}")
         require_rank((self.n, self.grid.m), len(self.components))
 
 
@@ -113,9 +118,10 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
     Weight trajectories are drawn first (component order), then the noise
-    matrix, so changing only ``noise_sigma`` leaves the clean data intact.
+    matrix, so changing only the noise level leaves the clean data intact;
+    ``noise_rel`` is resolved on that clean data by :func:`noise_sigma_for_range`.
     Weight models must stay non-negative over all recordings, and the data
-    finite.
+    and the resolved sigma finite.
     """
     rng = np.random.default_rng(spec.seed)
     k = len(spec.components)
@@ -144,14 +150,21 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
         w[:, j] = weights
 
     t_clean = w @ theta
+    sigma = spec.noise_sigma
+    if spec.noise_rel is not None:
+        sigma = noise_sigma_for_range(t_clean, spec.noise_rel)
+    if not np.isfinite(sigma) and np.all(np.isfinite(t_clean)):
+        raise ValidationError(f"noise_rel = {spec.noise_rel} times the clean data range overflows")
     t_noisy = rng.standard_normal(t_clean.shape)
-    t_noisy *= spec.noise_sigma
+    t_noisy *= sigma
     t_noisy += t_clean
     clamps = int(np.count_nonzero(t_noisy < 0.0))
     # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
     np.maximum(0.0, t_noisy, out=t_noisy)
-    if not np.all(np.isfinite(t_noisy)):
-        i, j = np.argwhere(~np.isfinite(t_noisy))[0]
+    # A sigma that is not finite comes from the clean data; name its first defect.
+    finite = np.isfinite(t_noisy if np.isfinite(sigma) else t_clean)
+    if not np.all(finite):
+        i, j = np.argwhere(~finite)[0]
         raise ValidationError(
             f"synthetic data is not finite at recording {i}, sample {j}; "
             "check the weight models and curve amplitudes"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import tsnmf.cli as cli
 from tsnmf.dataio import read_matrix_csv, write_matrix_csv
 from tsnmf.errors import ValidationError
 from tsnmf.initialization import CURVE_KINDS, CURVE_PARAMS, time_vector
-from tsnmf.synth import WEIGHT_ARGS
+from tsnmf.synth import WEIGHT_ARGS, WeightModel
 
 BOM = "\ufeff"
 
@@ -103,17 +104,49 @@ class TestSynthCommand:
         )
 
     @pytest.mark.parametrize(
-        "noise,sigma",
-        [("noise=nan", "nan"), ("noise=inf", "inf"), ("noise_rel=nan", "nan")],
+        "noise,message",
+        [
+            ("noise=nan", "noise_sigma must be finite, got nan"),
+            ("noise=inf", "noise_sigma must be finite, got inf"),
+            ("noise_rel=nan", "noise_rel must be finite, got nan"),
+            ("noise_rel=-0.1", "noise_rel must be >= 0, got -0.1"),
+            ("noise_rel=1e308", "noise_rel = 1e+308 times the clean data range overflows"),
+        ],
+        ids=["noise=nan-nan", "noise=inf-inf", "noise_rel=nan-nan", "noise_rel=-0.1", "overflow"],
     )
-    def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise, sigma):
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, noise, message):
         spec = tmp_path / "spec.txt"
         spec.write_text(SYNTH_SPEC.replace("noise_rel=0.01", noise))
         out = tmp_path / "o"
         assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: noise_sigma must be finite, got {sigma}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_relative_noise_draws_the_dataset_once(self, tmp_path, monkeypatch):
+        # Each generate samples every component's weights once; SYNTH_SPEC has three.
+        draws = []
+        sample = WeightModel.sample
+
+        def counted(model, n, rng):
+            draws.append(model)
+            return sample(model, n, rng)
+
+        monkeypatch.setattr(WeightModel, "sample", counted)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SYNTH_SPEC)
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert len(draws) == 3
+
+    def test_output_bytes_are_pinned(self, dataset):
+        digests = {
+            name: hashlib.sha256((dataset / name).read_bytes()).hexdigest()
+            for name in ("dataset.csv", "truth_theta.csv", "truth_w.csv")
+        }
+        assert digests == {
+            "dataset.csv": "373d83d51ce7449dafc45e679afe2ddb9fb692412016df1be361487e8eeb66b5",
+            "truth_theta.csv": "94dcf45676ca629db0274a8015878aecddecf5e2d39b852853c243bf79eb0c8f",
+            "truth_w.csv": "c3f949584a2cfc778c2bdca125b4c0853760aa3732f64e65adb9fae086ad6bd5",
+        }
 
     @pytest.mark.parametrize(
         "old,new,message",

@@ -51,6 +51,12 @@ class TestTimeVector:
         grid = time_vector(10, 0.25)
         assert np.all(np.diff(grid.values) > 0)
 
+    def test_grids_compare_and_hash_by_m_and_dt(self):
+        assert time_vector(4, 1.0) == time_vector(4, 1.0)
+        assert hash(time_vector(4, 1.0)) == hash(time_vector(4, 1.0))
+        assert time_vector(4, 1.0) != time_vector(4, 2.0)
+        assert time_vector(4, 1.0) != time_vector(5, 1.0)
+
     @pytest.mark.parametrize(
         "m,dt", [(0, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")), (3, float("inf"))]
     )

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tsnmf import SpecFileError, ValidationError
+from tsnmf import SpecFileError, ValidationError, generate, noise_sigma_for_range
 from tsnmf.initialization import (
     CURVE_PARAMS,
     ComponentSpec,
@@ -120,8 +122,8 @@ class TestComponentSpecs:
 class TestSyntheticSpecs:
     def test_full_parse(self):
         parsed = parse_synthetic_spec(SYNTH_FILE)
-        assert (parsed.n, parsed.m, parsed.dt, parsed.seed) == (40, 16, 2.0, 3)
-        assert parsed.noise_abs == 0.05
+        assert (parsed.n, parsed.grid.m, parsed.grid.dt, parsed.seed) == (40, 16, 2.0, 3)
+        assert parsed.noise_sigma == 0.05
         assert parsed.noise_rel is None
         assert len(parsed.components) == 3
         assert parsed.components[0].weights.kind == "constant"
@@ -177,7 +179,7 @@ class TestSyntheticSpecs:
         parsed = parse_synthetic_spec(
             "n=5.0\nm=4e0\ndt=1.0\nseed=0\ncooling weights=constant:1\n"
         )
-        assert (parsed.n, parsed.m, parsed.seed) == (5, 4, 0)
+        assert (parsed.n, parsed.grid.m, parsed.seed) == (5, 4, 0)
 
     def test_blank_and_comment_lines_ignored(self):
         text = "\n# planted curves\n" + SYNTH_FILE.replace("\n", "\n\n   # note\n", 3)
@@ -196,10 +198,14 @@ class TestBuildGroundTruth:
         assert truth.t_noisy.shape == (40, 16)
 
     def test_relative_noise_resolves_against_clean_range(self):
+        # noise_rel gives the bytes of noise_sigma = noise_rel * the clean range.
         text = SYNTH_FILE.replace("noise=0.05", "noise_rel=0.01")
         spec, truth = build_ground_truth(parse_synthetic_spec(text))
-        clean_range = float(truth.t_clean.max() - truth.t_clean.min())
-        assert spec.noise_sigma == pytest.approx(0.01 * clean_range)
+        sigma = noise_sigma_for_range(truth.t_clean, 0.01)
+        absolute = generate(dataclasses.replace(spec, noise_sigma=sigma, noise_rel=None))
+        for name in ("w_true", "theta_true", "t_clean", "t_noisy"):
+            assert getattr(truth, name).tobytes() == getattr(absolute, name).tobytes()
+        assert truth.noise_clamps == absolute.noise_clamps
 
     def test_relative_noise_keeps_clean_data(self):
         base_text = SYNTH_FILE.replace("noise=0.05", "noise=0.0")

@@ -370,6 +370,9 @@ def test_component_count_is_the_rank_bound(count):
     [
         ({"n": 0}, "need at least one recording, got n = 0"),
         ({"noise_sigma": -1.0}, "noise_sigma must be >= 0, got -1.0"),
+        ({"noise_rel": -0.1}, "noise_rel must be >= 0, got -0.1"),
+        ({"noise_rel": float("nan")}, "noise_rel must be finite, got nan"),
+        ({"noise_sigma": 0.1, "noise_rel": 0.01}, "give either noise_sigma or noise_rel, not both"),
     ],
 )
 def test_spec_fields_are_checked(field, message):
