@@ -48,7 +48,7 @@ from .initialization import (
 from .nmf import ConvergenceTrace, Factorization, SolverConfig, normalize, solve
 from .specfiles import parse_component_specs, parse_synthetic_spec
 from .svgplot import write_line_plot
-from .synth import GroundTruth, generate, match_components
+from .synth import GroundTruth, draw_dataset, match_components
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -303,7 +303,7 @@ def run_synth(args: argparse.Namespace) -> int:
     """Generate a dataset plus its planted factors from a spec file."""
     with open(args.spec, "r", encoding="utf-8-sig") as fh:
         spec = parse_synthetic_spec(fh.read())
-    truth = generate(spec)
+    truth = draw_dataset(spec)
     with _Outputs(args.out) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), truth.t_noisy, grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), truth.w_true)

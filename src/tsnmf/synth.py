@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
-from .linalg import dot, norm, require_conforming, require_rank, unit_exponent
+from .linalg import dot, norm, require_conforming, require_rank, row_blocks, unit_exponent
 from .nmf import Factorization
 
 # The arguments of each weight model, in spec-file order.
@@ -103,26 +103,37 @@ class SyntheticSpec:
 
 @dataclass
 class GroundTruth:
-    """Planted factors plus the clean and noisy data they generate."""
+    """Planted factors plus the data they generate; ``t_clean`` is None
+    where only the noisy data was drawn (:func:`draw_dataset`)."""
 
     w_true: np.ndarray
     theta_true: np.ndarray
-    t_clean: np.ndarray
+    t_clean: np.ndarray | None
     t_noisy: np.ndarray
     noise_clamps: int = 0
 
 
-# The finiteness check on the data reports an overflow; numpy's warning would repeat it.
-@np.errstate(over="ignore", invalid="ignore")
 def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
-    Weight trajectories are drawn first (component order), then the noise
-    matrix, so changing only the noise level leaves the clean data intact;
-    ``noise_rel`` is resolved on that clean data by :func:`noise_sigma_for_range`.
-    Weight models must stay non-negative over all recordings, and the data
-    and the resolved sigma finite.
+    Weight trajectories are drawn first (component order), then the noise,
+    one row block (:func:`linalg.row_blocks`) after another from the same
+    stream, so the values match one N x M draw and changing only the noise
+    level leaves the clean data intact. ``noise_rel`` is resolved on the
+    clean data by :func:`noise_sigma_for_range`. Weight models must stay
+    non-negative over all recordings, the clean data, the resolved sigma and
+    the noisy data finite.
     """
+    truth = draw_dataset(spec)
+    truth.t_clean = truth.w_true @ truth.theta_true
+    return truth
+
+
+# The finiteness checks report an overflow; numpy's warning would repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def draw_dataset(spec: SyntheticSpec) -> GroundTruth:
+    """:func:`generate` without ``t_clean``: the clean product becomes the
+    noisy data in place, so only one N x M array is held."""
     rng = np.random.default_rng(spec.seed)
     k = len(spec.components)
 
@@ -149,32 +160,36 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
             )
         w[:, j] = weights
 
-    t_clean = w @ theta
+    # The whole product: one computed by row blocks can differ in its last bits.
+    t = w @ theta
+    _require_finite(t, 0, "check the weight models and curve amplitudes")
     sigma = spec.noise_sigma
     if spec.noise_rel is not None:
-        sigma = noise_sigma_for_range(t_clean, spec.noise_rel)
-    if not np.isfinite(sigma) and np.all(np.isfinite(t_clean)):
-        raise ValidationError(f"noise_rel = {spec.noise_rel} times the clean data range overflows")
-    t_noisy = rng.standard_normal(t_clean.shape)
-    t_noisy *= sigma
-    t_noisy += t_clean
-    clamps = int(np.count_nonzero(t_noisy < 0.0))
-    # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
-    np.maximum(0.0, t_noisy, out=t_noisy)
-    # A sigma that is not finite comes from the clean data; name its first defect.
-    finite = np.isfinite(t_noisy if np.isfinite(sigma) else t_clean)
-    if not np.all(finite):
-        i, j = np.argwhere(~finite)[0]
-        raise ValidationError(
-            f"synthetic data is not finite at recording {i}, sample {j}; "
-            "check the weight models and curve amplitudes"
-        )
-    return GroundTruth(
-        w_true=w,
-        theta_true=theta,
-        t_clean=t_clean,
-        t_noisy=t_noisy,
-        noise_clamps=clamps,
+        sigma = noise_sigma_for_range(t, spec.noise_rel)
+        if not np.isfinite(sigma):
+            raise ValidationError(
+                f"noise_rel = {spec.noise_rel} times the clean data range overflows"
+            )
+    clamps = 0
+    for rows in row_blocks(spec.n):
+        block = t[rows]
+        block += sigma * rng.standard_normal(block.shape)
+        _require_finite(block, rows.start, f"the noise of sigma = {sigma:.6g} overflows")
+        clamps += int(np.count_nonzero(block < 0.0))
+        # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
+        np.maximum(0.0, block, out=block)
+    return GroundTruth(w_true=w, theta_true=theta, t_clean=None, t_noisy=t, noise_clamps=clamps)
+
+
+def _require_finite(rows: np.ndarray, first_row: int, why: str) -> None:
+    """Raise :class:`ValidationError` naming the first entry of ``rows`` (whose
+    first row is recording ``first_row``) that is not finite, and ``why``."""
+    # Both are finite only if every entry is (nan propagates), and neither needs a mask.
+    if np.isfinite(np.min(rows)) and np.isfinite(np.max(rows)):
+        return
+    i, j = np.argwhere(~np.isfinite(rows))[0]
+    raise ValidationError(
+        f"synthetic data is not finite at recording {first_row + i}, sample {j}; {why}"
     )
 
 

@@ -188,6 +188,66 @@ class TestSynthCommand:
         )
         assert not out.exists()
 
+    # sigma passes its checks; sigma times a normal draw above about 1.8 does not.
+    @pytest.mark.parametrize(
+        "noise,code,stderr,stdout",
+        [
+            (
+                "1e308",
+                2,
+                "error: synthetic data is not finite at recording 3, sample 0; "
+                "the noise of sigma = 1e+308 overflows\n",
+                "",
+            ),
+            ("1e200", 0, "", "(76 noise clamp(s))\n"),
+        ],
+        ids=["overflows", "finite"],
+    )
+    def test_overflowing_noise_is_blamed_on_the_noise(
+        self, tmp_path, capsys, noise, code, stderr, stdout
+    ):
+        # Recording 3, sample 0 overflows to -inf: it is reported, not clamped.
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            f"n=40\nm=4\ndt=1\nseed=0\nnoise={noise}\ncooling tau_c=2 amp=1 weights=constant:1\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == stderr
+        assert captured.out.endswith(stdout)
+        assert out.exists() == (code == 0)
+
+    def test_dataset_over_several_row_blocks_replays_one_noise_draw(self, tmp_path, capsys):
+        # 5,000 rows are three row blocks, the last one shorter.
+        text = (
+            "n=5000\nm=32\ndt=5.0\nseed=12\nnoise_rel=0.02\n"
+            "heating tau_h=20 amp=1 weights=walk:3,0.05\n"
+            "cooling tau_c=45 amp=1 weights=drift:0.2,0.001\n"
+        )
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        from tsnmf.dataio import ingest_csv
+        from tsnmf.specfiles import parse_synthetic_spec
+        from tsnmf.synth import generate, noise_sigma_for_range
+
+        parsed = parse_synthetic_spec(text)
+        truth = generate(parsed)
+        written = ingest_csv(out / "dataset.csv").values
+        assert written.tobytes() == truth.t_noisy.tobytes()
+        # Weights first, then max(0, w @ theta + sigma * noise) from one N x M draw.
+        rng = np.random.default_rng(parsed.seed)
+        w = np.column_stack([c.weights.sample(parsed.n, rng) for c in parsed.components])
+        t_clean = w @ truth.theta_true
+        sigma = noise_sigma_for_range(t_clean, parsed.noise_rel)
+        raw = t_clean + sigma * rng.standard_normal((parsed.n, parsed.grid.m))
+        assert written.tobytes() == np.maximum(0.0, raw).tobytes()
+        clamps = np.count_nonzero(raw < 0.0)
+        assert clamps > 0
+        assert capsys.readouterr().out.endswith(f"({clamps} noise clamp(s))\n")
+
     def test_production_scale_generation_under_one_second(self, tmp_path):
         import time
 

@@ -20,6 +20,7 @@ from tsnmf import (
     generate,
     time_vector,
 )
+from tsnmf import cli
 from tsnmf.dataio import ingest_csv, write_matrix_csv
 from tsnmf.initialization import nndsvd_init
 from tsnmf.linalg import ROW_BLOCK
@@ -67,6 +68,27 @@ def test_generate_holds_clean_and_noisy_data_only(noise_sigma):
     truth, peak = peak_bytes(generate, planted_spec(n, m, noise_sigma))
     assert truth.t_noisy.shape == (n, m)
     assert peak <= 2.5 * n * m * 8
+
+
+def test_synth_command_holds_the_dataset_and_one_block_of_noise(tmp_path, capsys):
+    # The dataset, one row block of normals (about 1/10 here), the weights (3/32).
+    n, m = 20_000, 32
+    lines = (
+        "bathpulse tau_c=90 tau_h=8 amp=1 weights=walk:30,0.05",
+        "cooling tau_c=45 amp=1 weights=drift:8,0",
+        "heating tau_h=25 amp=1 weights=periodic:2,6,20",
+    )
+
+    def synth(rows, name):
+        spec = tmp_path / f"{name}.txt"
+        spec.write_text(f"n={rows}\nm={m}\ndt=5.0\nseed=7\nnoise_rel=0.01\n" + "\n".join(lines))
+        return cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / name)])
+
+    assert synth(50, "warm") == 0  # imports what the first synth run imports
+    code, peak = peak_bytes(synth, n, "tall")
+    assert code == 0
+    assert capsys.readouterr().out.endswith("(0 noise clamp(s))\n")
+    assert peak <= 1.5 * n * m * 8
 
 
 def test_ingest_holds_about_the_result_array(tmp_path):
