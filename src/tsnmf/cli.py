@@ -46,7 +46,7 @@ from .initialization import (
     random_init,
 )
 from .nmf import ConvergenceTrace, Factorization, SolverConfig, normalize, solve
-from .specfiles import parse_component_specs, parse_synthetic_spec
+from .specfiles import content_lines, parse_component_specs, parse_synthetic_spec
 from .svgplot import write_line_plot
 from .synth import GroundTruth, draw_dataset, match_components
 
@@ -374,10 +374,7 @@ def _parse_config_file(path: str) -> dict:
     types = {name: str if isinstance(t, tuple) else t for name, t, *_ in OPTIONS}
     options: dict = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in content_lines(fh):
             if "=" not in line:
                 raise ValidationError(
                     f"{path}:{line_no}: expected 'key = value', got {line!r}"

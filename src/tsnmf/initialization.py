@@ -87,10 +87,11 @@ class ComponentSpec:
     r: float | None = None
 
     def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
+        if str(self.kind).lower() not in CURVE_KINDS:
             raise ValidationError(
-                f"unknown curve kind {self.kind!r}, expected one of {CURVE_KINDS}"
+                f"unknown component kind {self.kind!r}; expected one of {', '.join(CURVE_KINDS)}"
             )
+        object.__setattr__(self, "kind", str(self.kind).lower())  # a kind matches in any case
         for name in ("amp", "tau_c", "tau_h"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
@@ -327,11 +328,13 @@ def random_init(t, k: int, seed: int) -> InitResult:
     """Strictly positive uniform factors scaled so w @ theta matches the data.
 
     Entries are i.i.d. uniform on (0, s] with ``s = sqrt(mean(t) / k)``,
-    drawn from a generator seeded with ``seed`` (w first, then theta). Data
+    drawn from a generator seeded with ``seed`` >= 0 (w first, then theta). Data
     whose mean overflows raises :class:`NumericalError`.
     """
     t = require_matrix(t, "t")
     require_rank(t.shape, k)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     mean = float(finite(t.mean, "the data mean"))
     scale = np.sqrt(mean / k) if mean > 0.0 else 1.0

@@ -3,8 +3,8 @@
 The SVD is LAPACK's ``gesdd``, the package's one ``np.linalg`` route, with input
 validation, read-only results and one sign convention (:func:`orient`); NNDSVD
 takes its triplets through it. Sums run in one thread (:func:`dot`, :func:`norm`) or in
-fixed row blocks (:func:`row_blocks`), whose bytes, tested at K = 4 and M = 32, do not
-depend on the BLAS thread count; scaling is by exact powers of two (:func:`unit_exponent`);
+fixed row blocks (:func:`row_blocks`), whose bytes do not depend on the BLAS thread
+count; scaling is by exact powers of two (:func:`unit_exponent`);
 :func:`finite` reports an overflow.
 """
 
@@ -26,13 +26,15 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     return np.einsum("i,i->", x.ravel(), y.ravel())
 
 
-# Rows per block of a sum over the long side; OpenBLAS runs a K=4, M=32 block in one thread.
+# Rows per block of a sum over the long side. OpenBLAS runs a product of at most 2**18
+# multiply-adds (rows x K x M) in one thread, and 2048 rows at K x M = 128 make 2**18.
 ROW_BLOCK = 2048
 
 
-def row_blocks(n: int) -> list[slice]:
-    """``range(n)`` cut into consecutive slices of :data:`ROW_BLOCK` rows, the last shorter."""
-    return [slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK)]
+def row_blocks(n: int, width: int = 1) -> list[slice]:
+    """``range(n)`` in slices of min(:data:`ROW_BLOCK`, 2**18 // ``width``) rows, the last shorter."""
+    rows = min(ROW_BLOCK, max(1, 2**18 // width))
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def norm(x: np.ndarray) -> float:

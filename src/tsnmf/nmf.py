@@ -122,7 +122,7 @@ def cost(t, f: Factorization) -> float:
     require_conforming(f.w, f.theta, t.shape)
     # The finiteness check reports an overflow; numpy's warning would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _cost([(f.w[b], t[b], None) for b in row_blocks(t.shape[0])], f.theta)
+        return _cost([(f.w[b], t[b], None) for b in row_blocks(t.shape[0], f.theta.size)], f.theta)
 
 
 def _cost(parts: list, theta: np.ndarray) -> float:
@@ -179,7 +179,8 @@ class _Stacks:
     def products(self, y: np.ndarray, fill: Callable[[], np.ndarray]) -> list[bool]:
         """Refill the data product and ``h``; return which components are dead."""
         fill()
-        g = np.dot(y, y.T)
+        # At K = 1 np.dot makes a BLAS ddot, which OpenBLAS splits over threads past 10,000 terms.
+        g = np.dot(y, y.T) if len(y) > 1 else np.array([[dot(y, y)]])
         diag = g.diagonal().tolist()
         floor = max(DEAD_COMPONENT_EPS * max(diag), RECIPROCAL_FLOOR)
         # h = [-g, I] / diag(g); a dead row is divided by -inf, to zeros.
@@ -227,7 +228,8 @@ def hals_sweep(
     """
     t = require_matrix(t, "t")
     require_conforming(f.w, f.theta, t.shape)
-    return _Stacks(t, f, [(b, t[b], None) for b in row_blocks(t.shape[0])]).sweep(on_dead)
+    blocks = row_blocks(t.shape[0], f.theta.size)
+    return _Stacks(t, f, [(b, t[b], None) for b in blocks]).sweep(on_dead)
 
 
 def revive_dead_component(
@@ -242,7 +244,7 @@ def revive_dead_component(
     """
     out = f.copy()
     best, row = -math.inf, None
-    for b in row_blocks(t.shape[0]):
+    for b in row_blocks(t.shape[0], out.theta.size):
         residual = t[b] - out.w[b] @ out.theta
         sq = np.sum(residual * residual, axis=1)
         if row is None or sq.max() > best:
@@ -312,7 +314,7 @@ def solve(
     require_conforming(f.w, f.theta, t.shape)
     trace = ConvergenceTrace()
     # The guess overwrites x_{n-1}; an accepted sweep swaps the pairs, so no factor is allocated.
-    blocks = row_blocks(t.shape[0])
+    blocks = row_blocks(t.shape[0], f.theta.size)
     residual = np.empty((blocks[0].stop, t.shape[1]))  # the first block is the longest
     parts = [(b, t[b], residual[: b.stop - b.start]) for b in blocks]
     prev, cur = _Stacks(t, f, parts), _Stacks(t, f, parts)

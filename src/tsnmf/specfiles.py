@@ -19,12 +19,25 @@ The parser returns the :class:`synth.SyntheticSpec` that ``generate`` takes.
 from __future__ import annotations
 
 from .errors import SpecFileError, ValidationError
-from .initialization import CURVE_KINDS, CURVE_PARAMS, ComponentSpec, time_vector
+from .initialization import CURVE_PARAMS, ComponentSpec, time_vector
 from .synth import WEIGHT_ARGS, GroundTruth, PlantedComponent, SyntheticSpec, WeightModel, generate
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def content_lines(lines):
+    """``(line_no, line)`` for each of ``lines`` (numbered from 1) that is not
+    blank once its ``#`` comment is cut off; ``line`` is stripped."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _build(make, line_no: int, **fields):
+    """``make(**fields)``, its :class:`ValidationError` reported on line ``line_no``."""
+    try:
+        return make(**fields)
+    except ValidationError as exc:
+        raise SpecFileError(str(exc), line=line_no) from None
 
 
 def _parse_float(raw: str, line_no: int, what: str) -> float:
@@ -35,12 +48,7 @@ def _parse_float(raw: str, line_no: int, what: str) -> float:
 
 
 def _parse_component_tokens(tokens: list[str], line_no: int) -> tuple[ComponentSpec, str | None]:
-    kind = tokens[0].lower()
-    if kind not in CURVE_KINDS:
-        raise SpecFileError(
-            f"unknown component kind {tokens[0]!r}; expected one of {', '.join(CURVE_KINDS)}",
-            line=line_no,
-        )
+    kind = _build(ComponentSpec, line_no, kind=tokens[0]).kind
     params: dict[str, float] = {}
     weights_clause = None
     for token in tokens[1:]:
@@ -58,20 +66,13 @@ def _parse_component_tokens(tokens: list[str], line_no: int) -> tuple[ComponentS
                 line=line_no,
             )
         params[key] = _parse_float(raw.strip(), line_no, key)
-    try:
-        spec = ComponentSpec(kind=kind, **params)
-    except ValidationError as exc:
-        raise SpecFileError(str(exc), line=line_no) from None
-    return spec, weights_clause
+    return _build(ComponentSpec, line_no, kind=kind, **params), weights_clause
 
 
 def parse_component_specs(text: str) -> list[ComponentSpec]:
     """Parse a component spec file body into curve specs, in file order."""
     specs = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for line_no, line in content_lines(text.splitlines()):
         spec, weights = _parse_component_tokens(line.split(), line_no)
         if weights is not None:
             raise SpecFileError(
@@ -85,12 +86,7 @@ def parse_component_specs(text: str) -> list[ComponentSpec]:
 
 def _parse_weight_model(clause: str, line_no: int) -> WeightModel:
     head, sep, rest = clause.partition(":")
-    kind = head.strip().lower()
-    if kind not in WEIGHT_ARGS:
-        raise SpecFileError(
-            f"unknown weight model {head!r}; expected one of {', '.join(WEIGHT_ARGS)}",
-            line=line_no,
-        )
+    kind = _build(WeightModel, line_no, kind=head).kind
     names = WEIGHT_ARGS[kind]
     args = [a for a in rest.split(",") if a.strip()] if sep else []
     if len(args) != len(names):
@@ -103,10 +99,7 @@ def _parse_weight_model(clause: str, line_no: int) -> WeightModel:
         name: _parse_float(arg.strip(), line_no, f"{kind} {name}")
         for name, arg in zip(names, args)
     }
-    try:
-        return WeightModel(kind=kind, **values)
-    except ValidationError as exc:
-        raise SpecFileError(str(exc), line=line_no) from None
+    return _build(WeightModel, line_no, kind=kind, **values)
 
 
 def parse_synthetic_spec(text: str) -> SyntheticSpec:
@@ -114,10 +107,7 @@ def parse_synthetic_spec(text: str) -> SyntheticSpec:
     directives: dict[str, float] = {}
     directive_lines: dict[str, int] = {}
     components: list[PlantedComponent] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for line_no, line in content_lines(text.splitlines()):
         tokens = line.split()
         if len(tokens) == 1 and "=" in tokens[0]:
             key, _, value = tokens[0].partition("=")

@@ -48,11 +48,12 @@ class WeightModel:
     step: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_MODELS:
+        if str(self.kind).lower() not in WEIGHT_MODELS:
             raise ValidationError(
-                f"unknown weight model {self.kind!r}, expected one of {WEIGHT_MODELS}"
+                f"unknown weight model {self.kind!r}; expected one of {', '.join(WEIGHT_MODELS)}"
             )
-        if self.kind == "periodic" and self.period <= 0.0:
+        object.__setattr__(self, "kind", str(self.kind).lower())  # a kind matches in any case
+        if self.kind == "periodic" and not self.period > 0.0:
             raise ValidationError(f"period must be positive, got {self.period}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -90,6 +91,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"need at least one recording, got n = {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.noise_rel is not None and self.noise_sigma != 0.0:
             raise ValidationError("give either noise_sigma or noise_rel, not both")
         levels = (("noise_sigma", self.noise_sigma), ("noise_rel", self.noise_rel or 0.0))

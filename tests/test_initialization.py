@@ -423,6 +423,10 @@ class TestRandomInit:
         with pytest.raises(NumericalError, match="data mean overflows"):
             random_init(t, 2, seed=0)
 
+    def test_negative_seed_is_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            random_init(self.t, 3, seed=-1)
+
 
 @st.composite
 def permuted_problems(draw, min_m=1):

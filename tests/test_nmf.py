@@ -582,11 +582,15 @@ class TestSolveReplay:
 
 @pytest.mark.parametrize("n", [10_000, 10_800])
 def test_solve_gives_the_same_bytes_with_one_and_two_blas_threads(tmp_path, n):
-    # OpenBLAS splits w.T @ t across threads when it sums over this many rows.
+    # OpenBLAS splits w.T @ t across threads when it sums over this many rows, at
+    # K = 16, M = 256 the product of a 2,048-row block too, and at K = 1 the Gram's ddot.
     t = np.tile(planted_dataset(RECOVERY_COMPONENTS, seed=7).t_noisy, (20, 1))[:n]
+    wide = np.random.default_rng(0).random((n, 256))
     inits = {"knowledge": knowledge_init(t, GRID, INIT_SPECS), "nndsvd": nndsvd_init(t, 4),
-             "random": random_init(t, 4, seed=0)}
-    np.savez(tmp_path / "problem.npz", t=t,
+             "random": random_init(t, 4, seed=0), "single": random_init(t, 1, seed=0),
+             "wide_nndsvd": nndsvd_init(wide, 16),
+             "wide_random": random_init(wide, 16, seed=0)}
+    np.savez(tmp_path / "problem.npz", t=t, wide=wide,
              **{f"{name}_{part}": getattr(init, f"{part}_init")
                 for name, init in inits.items() for part in ("w", "theta")})
     child = "\n".join([
@@ -594,7 +598,8 @@ def test_solve_gives_the_same_bytes_with_one_and_two_blas_threads(tmp_path, n):
         "from tsnmf import SolverConfig, solve",
         "a = np.load(sys.argv[1])",
         f"for name in {list(inits)}:",
-        "    f, trace = solve(a['t'], (a[name + '_w'], a[name + '_theta']), SolverConfig(5, 0.0))",
+        "    t = a['wide' if name.startswith('wide') else 't']",
+        "    f, trace = solve(t, (a[name + '_w'], a[name + '_theta']), SolverConfig(5, 0.0))",
         "    digest = hashlib.sha256(f.w.tobytes() + f.theta.tobytes()).hexdigest()",
         "    print(name, digest, [c.hex() for c in trace.costs])",
     ])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tsnmf import SpecFileError, ValidationError, generate, noise_sigma_for_range
+from tsnmf import SpecFileError, ValidationError, WeightModel, generate, noise_sigma_for_range
 from tsnmf.initialization import (
     CURVE_PARAMS,
     ComponentSpec,
@@ -229,17 +229,57 @@ def test_nan_parameter_is_a_spec_error_naming_its_line(line, message):
         parse_component_specs(f"mean\n{line}\n")
 
 
+HEADER = "n=5\nm=4\ndt=1\n"
+
+
 @pytest.mark.parametrize(
     "parse,text,message",
     [
         (parse_component_specs, "mean\ncooling tau_c\n", "line 2: expected key=value, got 'tau_c'"),
-        (parse_synthetic_spec, "n=5\nm=4\ndt=1\ncooling weights=periodic:1,2,0\n",
+        (parse_synthetic_spec, HEADER + "cooling weights=periodic:1,2,0\n",
          "line 4: period must be positive, got 0.0"),
-        (parse_synthetic_spec, "n=5\nm=4\ndt=1\n", "no components defined"),
+        (parse_synthetic_spec, HEADER + "cooling weights=periodic:1,2,nan\n",
+         "line 4: period must be positive, got nan"),
+        (parse_synthetic_spec, HEADER, "no components defined"),
+        (parse_component_specs, "mean\nSigmoid tau=3\n",
+         "line 2: unknown component kind 'Sigmoid'; "
+         "expected one of mean, cooling, heating, bathpulse, heatkernel"),
+        (parse_synthetic_spec, HEADER + "cooling weights=Sawtooth:1\n",
+         "line 4: unknown weight model 'Sawtooth'; expected one of constant, drift, periodic, walk"),
+        (parse_component_specs, "cooling tau_h=4\n",
+         "line 1: parameter 'tau_h' not valid for 'cooling' (allowed: amp, tau_c)"),
+        (parse_component_specs, "mean amp=3\n",
+         "line 1: parameter 'amp' not valid for 'mean' (allowed: none)"),
+        (parse_component_specs, "cooling tau_c=fast\n", "line 1: tau_c is not a number: 'fast'"),
+        (parse_synthetic_spec, HEADER + "cooling weights=walk:1,x\n",
+         "line 4: walk step is not a number: 'x'"),
+        (parse_synthetic_spec, HEADER + "cooling weights=periodic:1,2\n",
+         "line 4: weight model 'periodic' takes 3 argument(s) (periodic:base,amp,period), got 2"),
+        (parse_component_specs, "cooling tau_c=5 weights=constant:1\n",
+         "line 1: weights= clauses belong in synthetic spec files"),
     ],
-    ids=["token-without-equals", "periodic-zero-period", "no-components"],
+    ids=["token-without-equals", "periodic-zero-period", "periodic-nan-period", "no-components",
+         "unknown-kind", "unknown-weight-model", "parameter-not-taken", "mean-parameter",
+         "non-numeric-parameter", "non-numeric-weight-argument", "weight-argument-count",
+         "weights-in-component-file"],
 )
 def test_spec_defect_is_named(parse, text, message):
+    """The full message of each spec-file defect, its line included."""
     with pytest.raises(SpecFileError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+def test_kinds_are_checked_by_the_types_in_any_case():
+    """The library reads a kind as a spec file does: in any case, and an unknown
+    kind with the file's message less its line."""
+    assert ComponentSpec("Cooling") == ComponentSpec("cooling")
+    assert WeightModel("DRIFT", slope=1.0) == WeightModel("drift", slope=1.0)
+    cases = [(ComponentSpec, "Sigmoid", parse_component_specs, "mean\nSigmoid tau=3\n"),
+             (WeightModel, "Sawtooth", parse_synthetic_spec, HEADER + "cooling weights=Sawtooth:1")]
+    for make, kind, parse, text in cases:
+        with pytest.raises(ValidationError) as library:
+            make(kind)
+        with pytest.raises(SpecFileError) as spec_file:
+            parse(text)
+        assert str(spec_file.value) == f"line {spec_file.value.line}: {library.value}"

@@ -373,6 +373,7 @@ def test_component_count_is_the_rank_bound(count):
         ({"noise_rel": -0.1}, "noise_rel must be >= 0, got -0.1"),
         ({"noise_rel": float("nan")}, "noise_rel must be finite, got nan"),
         ({"noise_sigma": 0.1, "noise_rel": 0.01}, "give either noise_sigma or noise_rel, not both"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_spec_fields_are_checked(field, message):
