@@ -98,15 +98,10 @@ class ComponentSpec:
                 raise ValidationError(f"{name} must be positive, got {value}")
         if self.r is not None and not self.r >= 0.0:
             raise ValidationError(f"r must be >= 0, got {self.r}")
-        if (
-            self.kind == BATH_PULSE
-            and self.tau_c is not None
-            and self.tau_h is not None
-            and self.tau_c == self.tau_h
-        ):
-            logger.warning(
-                "bathpulse with tau_c == tau_h == %s describes the zero curve",
-                self.tau_c,
+        if self.kind == BATH_PULSE and None not in (self.tau_c, self.tau_h) and self.tau_c <= self.tau_h:
+            raise ValidationError(
+                f"bathpulse needs tau_c > tau_h, got tau_c = {self.tau_c}, "
+                f"tau_h = {self.tau_h} (the curve would not stay non-negative)"
             )
 
 
@@ -170,11 +165,6 @@ def component_curve(
     if spec.kind == HEATING:
         return amp * (1.0 - np.exp(-t / spec.tau_h))
     if spec.kind == BATH_PULSE:
-        if spec.tau_c <= spec.tau_h:
-            raise ValidationError(
-                f"bathpulse needs tau_c > tau_h, got tau_c = {spec.tau_c}, "
-                f"tau_h = {spec.tau_h} (the curve would not stay non-negative)"
-            )
         return amp * (np.exp(-t / spec.tau_c) - np.exp(-t / spec.tau_h))
     # heat kernel: singular at t = 0, defined there by the continuity rule
     r = spec.r if spec.r is not None else 0.0

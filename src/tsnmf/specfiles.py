@@ -56,6 +56,8 @@ def _parse_component_tokens(tokens: list[str], line_no: int) -> tuple[ComponentS
             raise SpecFileError(f"expected key=value, got {token!r}", line=line_no)
         key, raw = token.split("=", 1)
         key = key.strip().lower()
+        if key in params or key == "weights" and weights_clause is not None:
+            raise SpecFileError(f"{key!r} given twice", line=line_no)
         if key == "weights":
             weights_clause = raw.strip()
             continue
@@ -85,10 +87,10 @@ def parse_component_specs(text: str) -> list[ComponentSpec]:
 
 
 def _parse_weight_model(clause: str, line_no: int) -> WeightModel:
-    head, sep, rest = clause.partition(":")
+    head, _, rest = clause.partition(":")
     kind = _build(WeightModel, line_no, kind=head).kind
     names = WEIGHT_ARGS[kind]
-    args = [a for a in rest.split(",") if a.strip()] if sep else []
+    args = rest.split(",") if rest.strip() else []
     if len(args) != len(names):
         raise SpecFileError(
             f"weight model {kind!r} takes {len(names)} argument(s) "

@@ -40,8 +40,6 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
-    if hi <= lo:
-        return [(lo, _fmt(lo, 2))]
     step = _nice_step(hi - lo)
     ticks = []
     value = math.ceil(lo / step) * step

@@ -1,9 +1,11 @@
 import hashlib
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -93,6 +95,18 @@ class TestSynthCommand:
         spec.write_text("n=5\nm=4\ndt=1.0\ncooling tau_c=3\n")
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "weights=" in capsys.readouterr().err
+
+    def test_equal_bath_pulse_constants_exit_2_on_one_line(self, tmp_path, capsys, caplog):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SYNTH_SPEC.replace("tau_c=90 tau_h=8", "tau_c=3 tau_h=3"))
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 6: bathpulse needs tau_c > tau_h, got tau_c = 3.0, tau_h = 3.0 "
+            "(the curve would not stay non-negative)\n"
+        )
+        assert not caplog.records
+        assert not out.exists()
 
     def test_success_stdout(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
@@ -989,6 +1003,33 @@ def test_synth_contract_holds_across_the_double_range(tmp_path_factory, directiv
     (root / "spec.txt").write_text("\n".join(lines) + "\n")
     out = root / "out"
     assert_contract(["synth", "--spec", str(root / "spec.txt"), "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "components", "config", "theta"])
+@settings(max_examples=100, deadline=None)
+@given(body=st.binary(max_size=64))
+@example(body=b"1,\xe9\n")  # a Latin-1 byte, as in a sensor export
+def test_no_input_file_crashes_the_cli(kind, body):
+    """Any bytes as one input file, the others valid: a documented exit, no exception.
+    The decompose flags override every config entry that could move its input or output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_matrix_csv(root / "data.csv", np.arange(1.0, 13.0).reshape(3, 4))
+        (root / "curves.txt").write_text("cooling\n")
+        (root / "run.conf").write_text("seed = 1\n")
+        for name in ("w.csv", "truth_w.csv"):
+            write_matrix_csv(root / name, np.ones((3, 1)))
+        for name in ("theta.csv", "truth_theta.csv"):
+            write_matrix_csv(root / name, np.ones((1, 4)))
+        names = {"dataset": "data.csv", "components": "curves.txt", "config": "run.conf"}
+        (root / names.get(kind, "theta.csv")).write_bytes(body)
+        if kind == "theta":
+            argv = ["score", "--recovered", tmp, "--truth", tmp, "--out", str(root / "out")]
+        else:
+            argv = ["decompose", "--input", str(root / "data.csv"), "--out", str(root / "out")]
+            argv += ["--k", "1", "--init", "knowledge", "--max-iters", "3", "--dt", "2"]
+            argv += ["--components", str(root / "curves.txt"), "--config", str(root / "run.conf")]
+        assert assert_contract(argv, root / "out") in (0, 2, 3, 4)
 
 
 class TestCompareInitsCommand:

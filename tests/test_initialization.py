@@ -143,13 +143,20 @@ class TestComponentSpecValidation:
         with pytest.raises(ValidationError):
             ComponentSpec(COOLING, tau_c=0.0)
 
-    def test_equal_bath_pulse_constants_flagged_not_rejected(self, caplog):
-        import logging
+    @pytest.mark.parametrize("tau_h", [5.0, 9.0])
+    def test_bath_pulse_needs_tau_c_above_tau_h(self, tau_h):
+        with pytest.raises(ValidationError) as info:
+            ComponentSpec(BATH_PULSE, tau_c=5.0, tau_h=tau_h)
+        assert str(info.value) == (
+            f"bathpulse needs tau_c > tau_h, got tau_c = 5.0, tau_h = {tau_h} "
+            "(the curve would not stay non-negative)"
+        )
 
-        with caplog.at_level(logging.WARNING, logger="tsnmf.initialization"):
-            spec = ComponentSpec(BATH_PULSE, amp=1.0, tau_c=5.0, tau_h=5.0)
-        assert spec.tau_c == spec.tau_h
-        assert any("zero curve" in r.message for r in caplog.records)
+    def test_bath_pulse_positivity_is_checked_before_order(self):
+        with pytest.raises(ValidationError, match=r"^tau_c must be positive, got nan$"):
+            ComponentSpec(BATH_PULSE, tau_c=float("nan"), tau_h=5.0)
+        with pytest.raises(ValidationError, match=r"^tau_h must be positive, got -9.0$"):
+            ComponentSpec(BATH_PULSE, tau_c=5.0, tau_h=-9.0)
 
 
 class TestKnowledgeInit:

@@ -257,11 +257,23 @@ HEADER = "n=5\nm=4\ndt=1\n"
          "line 4: weight model 'periodic' takes 3 argument(s) (periodic:base,amp,period), got 2"),
         (parse_component_specs, "cooling tau_c=5 weights=constant:1\n",
          "line 1: weights= clauses belong in synthetic spec files"),
+        (parse_component_specs, "bathpulse tau_c=3 tau_h=5\n",
+         "line 1: bathpulse needs tau_c > tau_h, got tau_c = 3.0, tau_h = 5.0 "
+         "(the curve would not stay non-negative)"),
+        (parse_component_specs, "cooling tau_c=5 tau_c=60\n", "line 1: 'tau_c' given twice"),
+        (parse_component_specs, "cooling TAU_C=5 tau_c=60\n", "line 1: 'tau_c' given twice"),
+        (parse_synthetic_spec, HEADER + "cooling weights=constant:1 weights=constant:2\n",
+         "line 4: 'weights' given twice"),
+        (parse_synthetic_spec, HEADER + "cooling weights=drift:1,,2\n",
+         "line 4: weight model 'drift' takes 2 argument(s) (drift:base,slope), got 3"),
+        (parse_synthetic_spec, HEADER + "cooling weights=drift:\n",
+         "line 4: weight model 'drift' takes 2 argument(s) (drift:base,slope), got 0"),
     ],
     ids=["token-without-equals", "periodic-zero-period", "periodic-nan-period", "no-components",
          "unknown-kind", "unknown-weight-model", "parameter-not-taken", "mean-parameter",
          "non-numeric-parameter", "non-numeric-weight-argument", "weight-argument-count",
-         "weights-in-component-file"],
+         "weights-in-component-file", "bath-pulse-order", "repeated-key", "repeated-key-any-case",
+         "repeated-weights", "empty-weight-argument", "empty-weights-clause"],
 )
 def test_spec_defect_is_named(parse, text, message):
     """The full message of each spec-file defect, its line included."""
