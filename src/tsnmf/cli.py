@@ -29,6 +29,7 @@ from .dataio import (
     TimeSeriesSet,
     format_number,
     ingest_csv,
+    open_text,
     read_matrix_csv,
     write_matrix_csv,
     write_trace_csv,
@@ -48,7 +49,7 @@ from .initialization import (
 from .nmf import ConvergenceTrace, Factorization, SolverConfig, normalize, solve
 from .specfiles import content_lines, parse_component_specs, parse_synthetic_spec
 from .svgplot import write_line_plot
-from .synth import GroundTruth, draw_dataset, match_components
+from .synth import DatasetStream, GroundTruth, match_components
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -111,7 +112,7 @@ def default_component_specs(k: int) -> list[ComponentSpec]:
 def _load_component_specs(path: str | None, k: int) -> list[ComponentSpec]:
     if path is None:
         return default_component_specs(k)
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         specs = parse_component_specs(fh.read())
     if len(specs) != k:
         raise ValidationError(
@@ -301,17 +302,18 @@ def run_compare_inits(
 
 def run_synth(args: argparse.Namespace) -> int:
     """Generate a dataset plus its planted factors from a spec file."""
-    with open(args.spec, "r", encoding="utf-8-sig") as fh:
+    with open_text(args.spec) as fh:
         spec = parse_synthetic_spec(fh.read())
-    truth = draw_dataset(spec)
+    data = DatasetStream(spec)
+    for _ in data.blocks():  # every noisy block is checked before any output is opened
+        pass
     with _Outputs(args.out) as outputs:
-        write_matrix_csv(outputs.path("dataset.csv"), truth.t_noisy, grid=spec.grid)
-        write_matrix_csv(outputs.path("truth_w.csv"), truth.w_true)
-        write_matrix_csv(outputs.path("truth_theta.csv"), truth.theta_true)
-    n, m = truth.t_noisy.shape
+        write_matrix_csv(outputs.path("dataset.csv"), data.blocks(), grid=spec.grid)
+        write_matrix_csv(outputs.path("truth_w.csv"), data.w)
+        write_matrix_csv(outputs.path("truth_theta.csv"), data.theta)
     print(
-        f"wrote {n}x{m} dataset with {truth.theta_true.shape[0]} components "
-        f"to {args.out} ({truth.noise_clamps} noise clamp(s))"
+        f"wrote {spec.n}x{spec.grid.m} dataset with {len(spec.components)} components "
+        f"to {args.out} ({data.clamps} noise clamp(s))"
     )
     return EXIT_OK
 
@@ -373,7 +375,7 @@ def _parse_config_file(path: str) -> dict:
     """Read ``key = value`` lines (with # comments) into typed options."""
     types = {name: str if isinstance(t, tuple) else t for name, t, *_ in OPTIONS}
     options: dict = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for line_no, line in content_lines(fh):
             if "=" not in line:
                 raise ValidationError(
@@ -384,6 +386,8 @@ def _parse_config_file(path: str) -> dict:
             value = value.strip()
             if key not in types:
                 raise ValidationError(f"{path}:{line_no}: unknown option {key!r}")
+            if "\0" in value:  # no path holds one, and open() would raise a bare ValueError
+                raise ValidationError(f"{path}:{line_no}: {key!r} holds a NUL byte")
             typ = types[key]
             if typ is bool and value.lower() not in _BOOLEANS:
                 raise ValidationError(
@@ -493,7 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UnicodeDecodeError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -11,6 +11,8 @@ exported files re-ingest bit-identically.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -41,6 +43,18 @@ def _parse_cell(raw: str, line_no: int, col_no: int) -> float:
     if not np.isfinite(value):
         raise ValidationError(f"non-finite cell {raw!r} at line {line_no}, column {col_no}")
     return value
+
+
+@contextmanager
+def open_text(path):
+    """``path`` opened to read as UTF-8, a leading byte-order mark (which
+    spreadsheet exports begin with) dropped; a byte that is not UTF-8 raises
+    :class:`ValidationError` naming ``path``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
@@ -102,8 +116,7 @@ def ingest_csv(path, dt: float | None = None) -> TimeSeriesSet:
     """
     if dt is not None:
         time_vector(1, float(dt))
-    # utf-8-sig drops the byte-order mark that spreadsheet exports begin with.
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         first = _first_line(fh)
         if first is None:
             raise ValidationError(f"{path}: no data rows")
@@ -151,20 +164,25 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def write_matrix_csv(path, matrix: np.ndarray, grid: TimeGrid | None = None) -> None:
-    """Write a matrix as CSV, optionally with a ``t=...`` header row."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+def write_matrix_csv(path, matrix, grid: TimeGrid | None = None) -> None:
+    """Write a matrix as CSV, optionally with a ``t=...`` header row.
+
+    ``matrix`` is an array-like (1-D for one row), or an iterator of 2-D float
+    row blocks, written in order, so that a caller need not hold every row.
+    """
+    if not isinstance(matrix, Iterator):
+        matrix = [np.atleast_2d(np.asarray(matrix, dtype=float))]
     with open(path, "w", encoding="utf-8") as fh:
         if grid is not None:
             fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")
-        for row in matrix:
+        for row in chain.from_iterable(matrix):
             # repr of a Python float is format_number's output.
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a plain numeric CSV (no header) into a 2-D array; errors name the file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         first = _first_line(fh)
         if first is None:
             raise ValidationError(f"{path}: empty matrix file")

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
+
 WIDTH = 800
 HEIGHT = 500
 MARGIN_LEFT = 70
@@ -83,9 +85,17 @@ def render_line_plot(
     y_label: str,
     log_y: bool = False,
 ) -> str:
-    """Render one or more curves over a shared x axis as an SVG document."""
+    """Render one or more curves over a shared x axis as an SVG document.
+
+    A value of ``x`` or of a labelled series that is not finite raises
+    :class:`ValidationError` naming the axis or the label, and the index.
+    """
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
+    for name, values in [("x", x), *((f"series {label!r}", s) for s, label in zip(series, labels))]:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValidationError(f"{name} is not finite at index {bad[0]}: {values[bad[0]]}")
 
     if log_y:
         floor = min((float(s[s > 0].min()) for s in series if np.any(s > 0)), default=1.0)

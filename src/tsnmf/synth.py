@@ -2,7 +2,10 @@
 
 Datasets are planted superpositions: each recording is a non-negative
 weighted sum of component curves, optionally corrupted by additive Gaussian
-noise clamped at zero. The matching oracle scores a recovered factorization
+noise clamped at zero. :class:`DatasetStream` is the one drawing path: it
+yields the noisy data one row block at a time, which the ``synth`` command
+writes without holding the dataset and :func:`generate` collects into whole
+arrays for library callers. The matching oracle scores a recovered factorization
 against the planted truth, pairing components by exhaustive permutation
 search over cosine similarity; its sums run in one thread (:func:`linalg.dot`),
 so the scores do not depend on the BLAS thread count.
@@ -10,6 +13,8 @@ so the scores do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -106,90 +111,120 @@ class SyntheticSpec:
 
 @dataclass
 class GroundTruth:
-    """Planted factors plus the data they generate; ``t_clean`` is None
-    where only the noisy data was drawn (:func:`draw_dataset`)."""
+    """Planted factors plus the data they generate; ``t_clean`` and ``t_noisy``
+    are None where only the factors are known (as :func:`match_components` needs)."""
 
     w_true: np.ndarray
     theta_true: np.ndarray
     t_clean: np.ndarray | None
-    t_noisy: np.ndarray
+    t_noisy: np.ndarray | None
     noise_clamps: int = 0
+
+
+class DatasetStream:
+    """The planted factors of a spec, and its noisy data drawn one row block
+    (:func:`linalg.row_blocks`) at a time, so that no N x M array is held.
+
+    Construction draws the weight trajectories (component order), checks the
+    clean product w @ theta block by block and resolves ``noise_rel`` on its
+    range (:func:`noise_sigma_for_range`), so only the noise's own check is
+    left. Each call of :meth:`blocks` replays the same noise draws, from a copy
+    of the generator left after the weights. Weight models must stay
+    non-negative over all recordings, the clean data, the resolved sigma and
+    the noisy data finite.
+    """
+
+    # The finiteness checks report an overflow; numpy's warning would repeat it.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, spec: SyntheticSpec):
+        rng = np.random.default_rng(spec.seed)
+        k = len(spec.components)
+        try:
+            self.w = np.zeros((spec.n, k))
+        except (ValueError, MemoryError):
+            raise ValidationError(
+                f"n = {spec.n} recordings by m = {spec.grid.m} samples is too large to allocate"
+            ) from None
+        self.theta = np.zeros((k, spec.grid.m))
+        for j, comp in enumerate(spec.components):
+            if comp.curve.kind == MEAN:
+                raise ValidationError(
+                    f"component {j}: the mean curve cannot be synthesized; "
+                    "use a parametric curve kind"
+                )
+            self.theta[j] = component_curve(resolve_spec(comp.curve, spec.grid), spec.grid)
+            weights = comp.weights.sample(spec.n, rng)
+            if np.any(weights < 0.0):
+                first = int(np.argmax(weights < 0.0))
+                raise ValidationError(
+                    f"component {j}: weight model {comp.weights.kind!r} goes negative "
+                    f"at recording {first} ({weights[first]:.6g})"
+                )
+            self.w[:, j] = weights
+        self._rng = rng
+
+        why = "check the weight models and curve amplitudes"
+        ranges = [_finite_range(self._clean(rows), rows.start, why) for rows in row_blocks(spec.n)]
+        self.sigma = spec.noise_sigma
+        if spec.noise_rel is not None:
+            # The blocks' least and greatest entries span the clean data's range.
+            self.sigma = noise_sigma_for_range(np.array(ranges), spec.noise_rel)
+            if not np.isfinite(self.sigma):
+                raise ValidationError(
+                    f"noise_rel = {spec.noise_rel} times the clean data range overflows"
+                )
+        self.clamps = 0
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The noisy data's row blocks in order: the clean rows plus ``sigma``
+        times the next normals, clamped at zero. ``clamps`` counts the entries
+        the clamp raised in the blocks this call has yielded."""
+        rng = copy.deepcopy(self._rng)
+        self.clamps = 0
+        for rows in row_blocks(self.w.shape[0]):
+            block = self._noisy(rows, rng)
+            self.clamps += int(np.count_nonzero(block < 0.0))
+            # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
+            yield np.maximum(0.0, block, out=block)
+
+    def _clean(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of w @ theta with the whole product's bits. A one-row
+        product is a BLAS gemv, whose last bits can differ, so a lone last row
+        is taken from a two-row product."""
+        if rows.stop - rows.start == 1 and rows.start > 0:
+            return (self.w[rows.start - 1 : rows.stop] @ self.theta)[1:]
+        return self.w[rows] @ self.theta
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _noisy(self, rows: slice, rng: np.random.Generator) -> np.ndarray:
+        block = self._clean(rows)
+        block += self.sigma * rng.standard_normal(block.shape)
+        _finite_range(block, rows.start, f"the noise of sigma = {self.sigma:.6g} overflows")
+        return block
 
 
 def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
-    Weight trajectories are drawn first (component order), then the noise,
-    one row block (:func:`linalg.row_blocks`) after another from the same
-    stream, so the values match one N x M draw and changing only the noise
-    level leaves the clean data intact. ``noise_rel`` is resolved on the
-    clean data by :func:`noise_sigma_for_range`. Weight models must stay
-    non-negative over all recordings, the clean data, the resolved sigma and
-    the noisy data finite.
+    ``t_noisy`` is filled from :meth:`DatasetStream.blocks`, so its values
+    match one N x M noise draw after the weights, and changing only the noise
+    level leaves the clean data intact.
     """
-    truth = draw_dataset(spec)
-    truth.t_clean = truth.w_true @ truth.theta_true
-    return truth
+    data = DatasetStream(spec)
+    t_noisy = np.empty((spec.n, spec.grid.m))
+    for rows, block in zip(row_blocks(spec.n), data.blocks()):
+        t_noisy[rows] = block
+    return GroundTruth(data.w, data.theta, data.w @ data.theta, t_noisy, data.clamps)
 
 
-# The finiteness checks report an overflow; numpy's warning would repeat it.
-@np.errstate(over="ignore", invalid="ignore")
-def draw_dataset(spec: SyntheticSpec) -> GroundTruth:
-    """:func:`generate` without ``t_clean``: the clean product becomes the
-    noisy data in place, so only one N x M array is held."""
-    rng = np.random.default_rng(spec.seed)
-    k = len(spec.components)
-
-    try:
-        w = np.zeros((spec.n, k))
-    except (ValueError, MemoryError):
-        raise ValidationError(
-            f"n = {spec.n} recordings by m = {spec.grid.m} samples is too large to allocate"
-        ) from None
-    theta = np.zeros((k, spec.grid.m))
-    for j, comp in enumerate(spec.components):
-        if comp.curve.kind == MEAN:
-            raise ValidationError(
-                f"component {j}: the mean curve cannot be synthesized; "
-                "use a parametric curve kind"
-            )
-        theta[j] = component_curve(resolve_spec(comp.curve, spec.grid), spec.grid)
-        weights = comp.weights.sample(spec.n, rng)
-        if np.any(weights < 0.0):
-            first = int(np.argmax(weights < 0.0))
-            raise ValidationError(
-                f"component {j}: weight model {comp.weights.kind!r} goes negative "
-                f"at recording {first} ({weights[first]:.6g})"
-            )
-        w[:, j] = weights
-
-    # The whole product: one computed by row blocks can differ in its last bits.
-    t = w @ theta
-    _require_finite(t, 0, "check the weight models and curve amplitudes")
-    sigma = spec.noise_sigma
-    if spec.noise_rel is not None:
-        sigma = noise_sigma_for_range(t, spec.noise_rel)
-        if not np.isfinite(sigma):
-            raise ValidationError(
-                f"noise_rel = {spec.noise_rel} times the clean data range overflows"
-            )
-    clamps = 0
-    for rows in row_blocks(spec.n):
-        block = t[rows]
-        block += sigma * rng.standard_normal(block.shape)
-        _require_finite(block, rows.start, f"the noise of sigma = {sigma:.6g} overflows")
-        clamps += int(np.count_nonzero(block < 0.0))
-        # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
-        np.maximum(0.0, block, out=block)
-    return GroundTruth(w_true=w, theta_true=theta, t_clean=None, t_noisy=t, noise_clamps=clamps)
-
-
-def _require_finite(rows: np.ndarray, first_row: int, why: str) -> None:
-    """Raise :class:`ValidationError` naming the first entry of ``rows`` (whose
-    first row is recording ``first_row``) that is not finite, and ``why``."""
+def _finite_range(rows: np.ndarray, first_row: int, why: str) -> tuple[float, float]:
+    """The least and greatest entries of ``rows``, or :class:`ValidationError`
+    naming the first entry that is not finite (``rows`` starts at recording
+    ``first_row``) and ``why``."""
     # Both are finite only if every entry is (nan propagates), and neither needs a mask.
-    if np.isfinite(np.min(rows)) and np.isfinite(np.max(rows)):
-        return
+    lo, hi = np.min(rows), np.max(rows)
+    if np.isfinite(lo) and np.isfinite(hi):
+        return lo, hi
     i, j = np.argwhere(~np.isfinite(rows))[0]
     raise ValidationError(
         f"synthetic data is not finite at recording {first_row + i}, sample {j}; {why}"

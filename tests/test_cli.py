@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -1030,6 +1032,127 @@ def test_no_input_file_crashes_the_cli(kind, body):
             argv += ["--k", "1", "--init", "knowledge", "--max-iters", "3", "--dt", "2"]
             argv += ["--components", str(root / "curves.txt"), "--config", str(root / "run.conf")]
         assert assert_contract(argv, root / "out") in (0, 2, 3, 4)
+
+
+
+@pytest.mark.parametrize("kind", ["dataset", "score", "components", "synth", "config"])
+def test_undecodable_file_is_named(tmp_path, capsys, kind):
+    # A Latin-1 degree sign (byte 0xB0), as a sensor export may write it.
+    bad = tmp_path / ("theta.csv" if kind == "score" else "bad.txt")
+    bad.write_bytes(b"1,2\n# 20\xb0C\n")
+    write_matrix_csv(tmp_path / "data.csv", np.arange(1.0, 13.0).reshape(3, 4))
+    write_matrix_csv(tmp_path / "w.csv", np.ones((3, 1)))
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["decompose", "--input", str(bad), "--k", "1", "--init", "random"],
+        "score": ["score", "--recovered", str(tmp_path), "--truth", str(tmp_path)],
+        "components": ["decompose", "--input", str(tmp_path / "data.csv"), "--k", "1"],
+        "synth": ["synth", "--spec", str(bad)],
+        "config": ["decompose", "--config", str(bad)],
+    }[kind]
+    if kind == "components":
+        argv += ["--init", "knowledge", "--dt", "2", "--components", str(bad)]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xb0 in position ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["components", "input", "out"])
+def test_nul_byte_in_a_config_path_exits_2(tmp_path, capsys, key):
+    write_matrix_csv(tmp_path / "data.csv", np.arange(1.0, 13.0).reshape(3, 4))
+    (tmp_path / "curves.txt").write_text("cooling\n")
+    entries = {
+        "k": "1",
+        "init": "knowledge",
+        "dt": "2",
+        "input": str(tmp_path / "data.csv"),
+        "components": str(tmp_path / "curves.txt"),
+        "out": str(tmp_path / "out"),
+    }
+    entries[key] = "a\0b"
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{name} = {value}\n" for name, value in entries.items()))
+    assert cli.main(["decompose", "--config", str(config)]) == 2
+    line = list(entries).index(key) + 1
+    assert capsys.readouterr().err == f"error: {config}:{line}: {key!r} holds a NUL byte\n"
+    assert not (tmp_path / "out").exists()
+
+
+# The acceptance curves; a spec takes the first K.
+STREAM_CURVES = (
+    "bathpulse tau_c=90 tau_h=8 amp=1 weights=walk:30,0.05",
+    "cooling tau_c=50 amp=1 weights=drift:8,0.001",
+    "heating tau_h=25 amp=1 weights=periodic:2,6,20",
+    "bathpulse tau_c=30 tau_h=6 amp=1 weights=constant:0.5",
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # Row blocks hold 2,048 rows; one more leaves a one-row last block.
+    n=st.integers(2, 5_000) | st.sampled_from([2_049, 4_097]),
+    m=st.integers(4, 40),
+    k=st.integers(1, 4),
+    noise=st.one_of(
+        st.floats(0.0, 5.0).map(lambda v: f"noise={v!r}"),
+        st.floats(0.0, 0.5).map(lambda v: f"noise_rel={v!r}"),
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(n=2_049, m=32, k=4, noise="noise_rel=0.01", seed=7)
+@example(n=4_097, m=32, k=2, noise="noise=5.0", seed=11)
+def test_synth_streams_the_generated_dataset(tmp_path_factory, n, m, k, noise, seed):
+    from tsnmf.dataio import ingest_csv
+    from tsnmf.specfiles import parse_synthetic_spec
+    from tsnmf.synth import generate, noise_sigma_for_range
+
+    k = min(k, n)
+    text = f"n={n}\nm={m}\ndt=5\nseed={seed}\n{noise}\n" + "\n".join(STREAM_CURVES[:k]) + "\n"
+    root = tmp_path_factory.mktemp("stream")
+    (root / "spec.txt").write_text(text)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["synth", "--spec", str(root / "spec.txt"), "--out", str(root / "o")]) == 0
+    written = ingest_csv(root / "o" / "dataset.csv").values
+    parsed = parse_synthetic_spec(text)
+    truth = generate(parsed)
+    assert written.tobytes() == truth.t_noisy.tobytes()
+    # Weights first, then max(0, w @ theta + sigma * noise), from one product and one draw.
+    rng = np.random.default_rng(seed)
+    w = np.column_stack([c.weights.sample(n, rng) for c in parsed.components])
+    t_clean = w @ truth.theta_true
+    sigma = parsed.noise_sigma
+    if parsed.noise_rel is not None:
+        sigma = noise_sigma_for_range(t_clean, parsed.noise_rel)
+    raw = t_clean + sigma * rng.standard_normal((n, m))
+    assert written.tobytes() == np.maximum(0.0, raw).tobytes()
+    clamps = np.count_nonzero(raw < 0.0)
+    assert truth.noise_clamps == clamps
+    assert stdout.getvalue().endswith(f"({clamps} noise clamp(s))\n")
+
+
+def test_noise_overflow_in_a_late_row_block_writes_nothing(tmp_path, capsys):
+    # The first non-finite entry is in the third row block (rows 4,096 on).
+    text = "n=6000\nm=4\ndt=1\nseed=19\nnoise={}\ncooling tau_c=2 amp=1 weights=constant:1\n"
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(text.format("0.5"))
+    bad.write_text(text.format("4e307"))
+    message = (
+        "error: synthetic data is not finite at recording 5990, sample 2; "
+        "the noise of sigma = 4e+307 overflows\n"
+    )
+    fresh = tmp_path / "fresh"
+    assert cli.main(["synth", "--spec", str(bad), "--out", str(fresh)]) == 2
+    assert capsys.readouterr().err == message
+    assert not fresh.exists()
+    previous = tmp_path / "previous"
+    assert cli.main(["synth", "--spec", str(good), "--out", str(previous)]) == 0
+    before = {p.name: p.read_bytes() for p in previous.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["synth", "--spec", str(bad), "--out", str(previous)]) == 2
+    assert capsys.readouterr().err == message
+    assert {p.name: p.read_bytes() for p in previous.iterdir()} == before
 
 
 class TestCompareInitsCommand:

@@ -91,6 +91,29 @@ def test_synth_command_holds_the_dataset_and_one_block_of_noise(tmp_path, capsys
     assert peak <= 1.5 * n * m * 8
 
 
+def test_synth_command_holds_no_n_by_m_array(tmp_path, capsys):
+    # The weights, N x K, and four row blocks: they cover the noise pass's three
+    # blocks (clean rows, normals, scaled normals) and, at this N, the N-long
+    # temporaries of a weight model. The dataset would be 15.4 MB.
+    n, m, k = 60_000, 32, 3
+    lines = (
+        "bathpulse tau_c=90 tau_h=8 amp=1 weights=walk:30,0.05",
+        "cooling tau_c=45 amp=1 weights=drift:8,0",
+        "heating tau_h=25 amp=1 weights=periodic:2,6,20",
+    )
+
+    def synth(rows, name):
+        spec = tmp_path / f"{name}.txt"
+        spec.write_text(f"n={rows}\nm={m}\ndt=5.0\nseed=7\nnoise_rel=0.01\n" + "\n".join(lines))
+        return cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / name)])
+
+    assert synth(50, "warm") == 0  # imports what the first synth run imports
+    code, peak = peak_bytes(synth, n, "tall")
+    assert code == 0
+    assert capsys.readouterr().out.endswith("(0 noise clamp(s))\n")
+    assert peak <= (n * k + 4 * ROW_BLOCK * m) * 8
+
+
 def test_ingest_holds_about_the_result_array(tmp_path):
     path = tmp_path / "data.csv"
     matrix = np.random.default_rng(0).random((10_800, 32)) * 800.0

@@ -152,3 +152,18 @@ def test_flat_series_at_large_magnitude_renders(tmp_path, x, y):
     code += "sys.stdout.write(doc)"
     doc = _run_capped(["-c", code], tmp_path)
     assert "<polyline" in doc and "nan" not in doc
+
+
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        ([0.0, 1.0], [1.0, np.inf], "series 'cost' is not finite at index 1: inf"),
+        ([0.0, 1.0], [np.nan, 1.0], "series 'cost' is not finite at index 0: nan"),
+        ([0.0, -np.inf], [1.0, 2.0], "x is not finite at index 1: -inf"),
+    ],
+    ids=["inf-value", "nan-value", "inf-x"],
+)
+def test_non_finite_value_is_named(x, y, message):
+    with pytest.raises(tsnmf.ValidationError) as exc:
+        render_line_plot(x, [[1.0, 2.0], y], ["ok", "cost"], title="t", x_label="x", y_label="y")
+    assert str(exc.value) == message
