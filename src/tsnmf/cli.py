@@ -305,8 +305,9 @@ def run_synth(args: argparse.Namespace) -> int:
     with open_text(args.spec) as fh:
         spec = parse_synthetic_spec(fh.read())
     data = DatasetStream(spec)
-    for _ in data.blocks():  # every noisy block is checked before any output is opened
-        pass
+    if data.noise_may_overflow:  # then every noisy block is checked before any output is opened
+        for _ in data.blocks():
+            pass
     with _Outputs(args.out) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), data.blocks(), grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), data.w)

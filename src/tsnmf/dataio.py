@@ -169,9 +169,12 @@ def write_matrix_csv(path, matrix, grid: TimeGrid | None = None) -> None:
 
     ``matrix`` is an array-like (1-D for one row), or an iterator of 2-D float
     row blocks, written in order, so that a caller need not hold every row.
+    An array of more than two dimensions raises :class:`ValidationError`.
     """
     if not isinstance(matrix, Iterator):
         matrix = [np.atleast_2d(np.asarray(matrix, dtype=float))]
+        if matrix[0].ndim > 2:
+            raise ValidationError(f"cannot write an array of shape {matrix[0].shape} as CSV")
     with open(path, "w", encoding="utf-8") as fh:
         if grid is not None:
             fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")

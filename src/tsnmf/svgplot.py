@@ -87,12 +87,17 @@ def render_line_plot(
 ) -> str:
     """Render one or more curves over a shared x axis as an SVG document.
 
-    A value of ``x`` or of a labelled series that is not finite raises
-    :class:`ValidationError` naming the axis or the label, and the index.
+    Each series has one label and as many values as ``x``. A count or length
+    that does not match, or a value of ``x`` or of a series that is not
+    finite, raises :class:`ValidationError` naming the axis or the label.
     """
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
+    if len(series) != len(labels):
+        raise ValidationError(f"{len(series)} series but {len(labels)} labels")
     for name, values in [("x", x), *((f"series {label!r}", s) for s, label in zip(series, labels))]:
+        if values.shape != x.shape:
+            raise ValidationError(f"{name} has {values.size} values but x has {x.size}")
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValidationError(f"{name} is not finite at index {bad[0]}: {values[bad[0]]}")

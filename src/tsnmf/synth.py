@@ -3,12 +3,13 @@
 Datasets are planted superpositions: each recording is a non-negative
 weighted sum of component curves, optionally corrupted by additive Gaussian
 noise clamped at zero. :class:`DatasetStream` is the one drawing path: it
-yields the noisy data one row block at a time, which the ``synth`` command
-writes without holding the dataset and :func:`generate` collects into whole
-arrays for library callers. The matching oracle scores a recovered factorization
-against the planted truth, pairing components by exhaustive permutation
-search over cosine similarity; its sums run in one thread (:func:`linalg.dot`),
-so the scores do not depend on the BLAS thread count.
+yields the noisy data one row block at a time, each block's noise drawn
+once, which the ``synth`` command writes without holding the dataset and
+:func:`generate` collects into whole arrays for library callers. The
+matching oracle scores a recovered factorization against the planted truth,
+pairing components by exhaustive permutation search over cosine similarity;
+its sums run in one thread (:func:`linalg.dot`), so the scores do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -128,10 +129,12 @@ class DatasetStream:
     Construction draws the weight trajectories (component order), checks the
     clean product w @ theta block by block and resolves ``noise_rel`` on its
     range (:func:`noise_sigma_for_range`), so only the noise's own check is
-    left. Each call of :meth:`blocks` replays the same noise draws, from a copy
-    of the generator left after the weights. Weight models must stay
-    non-negative over all recordings, the clean data, the resolved sigma and
-    the noisy data finite.
+    left. ``noise_may_overflow`` is False when the clean range and sigma rule
+    out a noisy entry that is not finite, so that a caller need not check the
+    noise before it writes. Each call of :meth:`blocks` replays the same noise
+    draws, from a copy of the generator left after the weights. Weight models
+    must stay non-negative over all recordings, the clean data, the resolved
+    sigma and the noisy data finite.
     """
 
     # The finiteness checks report an overflow; numpy's warning would repeat it.
@@ -164,15 +167,23 @@ class DatasetStream:
         self._rng = rng
 
         why = "check the weight models and curve amplitudes"
-        ranges = [_finite_range(self._clean(rows), rows.start, why) for rows in row_blocks(spec.n)]
+        ranges = np.array(
+            [_finite_range(self._clean(rows), rows.start, why) for rows in row_blocks(spec.n)]
+        )
         self.sigma = spec.noise_sigma
         if spec.noise_rel is not None:
             # The blocks' least and greatest entries span the clean data's range.
-            self.sigma = noise_sigma_for_range(np.array(ranges), spec.noise_rel)
+            self.sigma = noise_sigma_for_range(ranges, spec.noise_rel)
             if not np.isfinite(self.sigma):
                 raise ValidationError(
                     f"noise_rel = {spec.noise_rel} times the clean data range overflows"
                 )
+        # numpy's Generator.standard_normal is a ziggurat whose tail returns
+        # r + x with r ~ 3.654 and x <= ln(2**53) / r ~ 10.05, so |z| < 13.8;
+        # 64 sigma leaves more than 4x margin, and half the largest float
+        # leaves room for the sum's rounding.
+        bound = np.max(np.abs(ranges)) + 64.0 * self.sigma
+        self.noise_may_overflow = bool(bound > np.finfo(float).max / 2)
         self.clamps = 0
 
     def blocks(self) -> Iterator[np.ndarray]:
@@ -198,7 +209,9 @@ class DatasetStream:
     @np.errstate(over="ignore", invalid="ignore")
     def _noisy(self, rows: slice, rng: np.random.Generator) -> np.ndarray:
         block = self._clean(rows)
-        block += self.sigma * rng.standard_normal(block.shape)
+        noise = rng.standard_normal(block.shape)
+        noise *= self.sigma
+        block += noise
         _finite_range(block, rows.start, f"the noise of sigma = {self.sigma:.6g} overflows")
         return block
 

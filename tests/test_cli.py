@@ -1155,6 +1155,72 @@ def test_noise_overflow_in_a_late_row_block_writes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in previous.iterdir()} == before
 
 
+# The benchmark's synth_tall spec (acceptance curves at 21,600 rows, 1% noise).
+SYNTH_TALL_SPEC = """\
+n=21600
+m=32
+dt=5
+seed=7
+noise_rel=0.01
+bathpulse amp=1 tau_c=130 tau_h=7 weights=walk:45,0.0031622776601683794
+cooling amp=1 tau_c=60 weights=drift:10,-0.00025
+bathpulse amp=1 tau_c=25 tau_h=5 weights=periodic:2,20,45
+heating amp=1 tau_h=40 weights=walk:8,0.0031622776601683794
+"""
+
+
+def synth_counting_passes(monkeypatch, tmp_path, text):
+    """Run ``synth`` on spec ``text``; return its stdout, the written dataset,
+    ``generate``'s truth for the spec and the number of noise passes drawn."""
+    from tsnmf.dataio import ingest_csv
+    from tsnmf.specfiles import parse_synthetic_spec
+    from tsnmf.synth import DatasetStream, generate
+
+    truth = generate(parse_synthetic_spec(text))
+    calls = []
+    blocks = DatasetStream.blocks
+
+    def counted(self):
+        calls.append(self)
+        return blocks(self)
+
+    monkeypatch.setattr(DatasetStream, "blocks", counted)
+    (tmp_path / "spec.txt").write_text(text)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        argv = ["synth", "--spec", str(tmp_path / "spec.txt"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+    written = ingest_csv(tmp_path / "o" / "dataset.csv").values
+    return stdout.getvalue(), written, truth, len(calls)
+
+
+@pytest.mark.parametrize(
+    "text,clamped",
+    [
+        (SYNTH_TALL_SPEC, False),
+        ("n=5000\nm=32\ndt=5\nseed=12\nnoise_rel=0.5\n" + "\n".join(STREAM_CURVES[:2]), True),
+    ],
+    ids=["synth_tall", "noise_rel-0.5"],
+)
+def test_synth_draws_the_noise_once_when_it_cannot_overflow(monkeypatch, tmp_path, text, clamped):
+    stdout, written, truth, passes = synth_counting_passes(monkeypatch, tmp_path, text)
+    assert passes == 1
+    assert written.tobytes() == truth.t_noisy.tobytes()
+    assert (truth.noise_clamps > 0) == clamped
+    assert stdout.endswith(f"({truth.noise_clamps} noise clamp(s))\n")
+
+
+def test_noise_that_may_overflow_is_checked_before_writing(monkeypatch, tmp_path):
+    # sigma = 1e307 times a normal below 13.8 stays finite, but the bound of
+    # 64 sigma cannot rule out an overflow, so the checking pass runs first.
+    text = "n=2100\nm=4\ndt=1\nseed=5\nnoise=1e307\ncooling tau_c=2 amp=1 weights=constant:1\n"
+    stdout, written, truth, passes = synth_counting_passes(monkeypatch, tmp_path, text)
+    assert passes == 2
+    assert written.tobytes() == truth.t_noisy.tobytes()
+    assert truth.noise_clamps > 0
+    assert stdout.endswith(f"({truth.noise_clamps} noise clamp(s))\n")
+
+
 class TestCompareInitsCommand:
     def test_all_strategies(self, tmp_path, dataset):
         comp = tmp_path / "components.txt"

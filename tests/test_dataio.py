@@ -320,6 +320,14 @@ def test_read_matrix_csv(tmp_path):
     assert np.array_equal(read_matrix_csv(path), matrix)
 
 
+def test_write_matrix_csv_rejects_more_than_two_dimensions(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValidationError) as exc:
+        write_matrix_csv(path, np.zeros((2, 2, 2)))
+    assert str(exc.value) == "cannot write an array of shape (2, 2, 2) as CSV"
+    assert not path.exists()
+
+
 def test_read_matrix_csv_ragged(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3\n")

@@ -167,3 +167,19 @@ def test_non_finite_value_is_named(x, y, message):
     with pytest.raises(tsnmf.ValidationError) as exc:
         render_line_plot(x, [[1.0, 2.0], y], ["ok", "cost"], title="t", x_label="x", y_label="y")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "x,series,labels,message",
+    [
+        ([0.0, 1.0], [[1.0, 2.0], [np.inf, 1.0]], ["a"], "2 series but 1 labels"),
+        ([0.0, 1.0], [[1.0, 2.0]], ["a", "b"], "1 series but 2 labels"),
+        ([0.0, 1.0], [[1.0, 2.0], [1.0]], ["a", "b"], "series 'b' has 1 values but x has 2"),
+        ([0.0, 1.0], [[1.0, 2.0, 3.0]], ["a"], "series 'a' has 3 values but x has 2"),
+    ],
+    ids=["unlabelled-series", "extra-label", "short-series", "long-series"],
+)
+def test_mismatched_series_are_named(x, series, labels, message):
+    with pytest.raises(tsnmf.ValidationError) as exc:
+        render_line_plot(x, series, labels, title="t", x_label="x", y_label="y")
+    assert str(exc.value) == message
