@@ -9,7 +9,7 @@ score          match recovered factors against planted truth
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure. All outputs are deterministic for a fixed (dataset, config, seed);
-a command that fails leaves the files of its output directory as they were.
+a command that fails leaves the file system as it found it.
 
 The component and synthetic spec-file grammars are documented in
 :mod:`tsnmf.specfiles`; the dataset CSV format in :mod:`tsnmf.dataio`.
@@ -18,6 +18,7 @@ The component and synthetic spec-file grammars are documented in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -60,20 +61,22 @@ STRATEGIES = ("knowledge", "nndsvd", "random")
 
 
 class _Outputs:
-    """Writes a command's files so that a failing command changes none of them.
-
-    Used as a context manager. :meth:`path` moves a previous run's file of
-    that name into a temporary directory inside ``out_dir`` and returns the
-    final path, which is what ``written`` lists. When the block succeeds the
-    temporary directory is removed; on any exception, including interrupts,
-    this run's files are deleted, the set-aside ones are moved back with
-    ``os.replace``, and the exception propagates.
+    """Writes a command's files so that a failing command leaves the file
+    system as it found it. Used as a context manager; entering creates
+    ``out_dir`` and its missing parents. :meth:`path` moves a previous run's
+    file of that name into a temporary directory inside ``out_dir``, removed
+    on exit, and returns the final path, which ``written`` lists. On any
+    exception, interrupts included, this run's files are deleted, the
+    set-aside ones moved back and the directories this run created removed.
     """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        self.created: list[str] = []  # what os.makedirs is about to create, innermost first
+        while out_dir and not os.path.exists(out_dir):
+            self.created.append(out_dir)
+            out_dir = os.path.dirname(out_dir)
 
     def path(self, name: str) -> str:
         final = os.path.join(self.out_dir, name)
@@ -83,7 +86,12 @@ class _Outputs:
         return final
 
     def __enter__(self) -> _Outputs:
-        self.aside = tempfile.mkdtemp(prefix=".tsnmf-", dir=self.out_dir)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+            self.aside = tempfile.mkdtemp(prefix=".tsnmf-", dir=self.out_dir)
+        except BaseException:
+            self._remove_created()
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -97,6 +105,13 @@ class _Outputs:
                         os.unlink(final)
         finally:
             shutil.rmtree(self.aside, ignore_errors=True)
+            if exc_type is not None:
+                self._remove_created()
+
+    def _remove_created(self) -> None:
+        for path in self.created:  # os.rmdir removes only empty directories
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
 
 
 def default_component_specs(k: int) -> list[ComponentSpec]:
@@ -305,9 +320,6 @@ def run_synth(args: argparse.Namespace) -> int:
     with open_text(args.spec) as fh:
         spec = parse_synthetic_spec(fh.read())
     data = DatasetStream(spec)
-    if data.noise_may_overflow:  # then every noisy block is checked before any output is opened
-        for _ in data.blocks():
-            pass
     with _Outputs(args.out) as outputs:
         write_matrix_csv(outputs.path("dataset.csv"), data.blocks(), grid=spec.grid)
         write_matrix_csv(outputs.path("truth_w.csv"), data.w)

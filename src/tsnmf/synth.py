@@ -14,7 +14,6 @@ on the BLAS thread count.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
@@ -129,18 +128,15 @@ class DatasetStream:
     Construction draws the weight trajectories (component order), checks the
     clean product w @ theta block by block and resolves ``noise_rel`` on its
     range (:func:`noise_sigma_for_range`), so only the noise's own check is
-    left. ``noise_may_overflow`` is False when the clean range and sigma rule
-    out a noisy entry that is not finite, so that a caller need not check the
-    noise before it writes. Each call of :meth:`blocks` replays the same noise
-    draws, from a copy of the generator left after the weights. Weight models
-    must stay non-negative over all recordings, the clean data, the resolved
-    sigma and the noisy data finite.
+    left. :meth:`blocks` draws the noise once, from the generator left after
+    the weights. Weight models must stay non-negative over all recordings,
+    the clean data, the resolved sigma and the noisy data finite.
     """
 
     # The finiteness checks report an overflow; numpy's warning would repeat it.
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, spec: SyntheticSpec):
-        rng = np.random.default_rng(spec.seed)
+        self._rng = np.random.default_rng(spec.seed)
         k = len(spec.components)
         try:
             self.w = np.zeros((spec.n, k))
@@ -156,7 +152,7 @@ class DatasetStream:
                     "use a parametric curve kind"
                 )
             self.theta[j] = component_curve(resolve_spec(comp.curve, spec.grid), spec.grid)
-            weights = comp.weights.sample(spec.n, rng)
+            weights = comp.weights.sample(spec.n, self._rng)
             if np.any(weights < 0.0):
                 first = int(np.argmax(weights < 0.0))
                 raise ValidationError(
@@ -164,7 +160,6 @@ class DatasetStream:
                     f"at recording {first} ({weights[first]:.6g})"
                 )
             self.w[:, j] = weights
-        self._rng = rng
 
         why = "check the weight models and curve amplitudes"
         ranges = np.array(
@@ -178,22 +173,14 @@ class DatasetStream:
                 raise ValidationError(
                     f"noise_rel = {spec.noise_rel} times the clean data range overflows"
                 )
-        # numpy's Generator.standard_normal is a ziggurat whose tail returns
-        # r + x with r ~ 3.654 and x <= ln(2**53) / r ~ 10.05, so |z| < 13.8;
-        # 64 sigma leaves more than 4x margin, and half the largest float
-        # leaves room for the sum's rounding.
-        bound = np.max(np.abs(ranges)) + 64.0 * self.sigma
-        self.noise_may_overflow = bool(bound > np.finfo(float).max / 2)
         self.clamps = 0
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The noisy data's row blocks in order: the clean rows plus ``sigma``
-        times the next normals, clamped at zero. ``clamps`` counts the entries
-        the clamp raised in the blocks this call has yielded."""
-        rng = copy.deepcopy(self._rng)
-        self.clamps = 0
+        times normals drawn once, from the generator left after the weights,
+        clamped at zero. ``clamps`` counts the entries the clamp raised so far."""
         for rows in row_blocks(self.w.shape[0]):
-            block = self._noisy(rows, rng)
+            block = self._noisy(rows)
             self.clamps += int(np.count_nonzero(block < 0.0))
             # max(0.0, x), not max(x, 0.0), so that a -0.0 sum becomes 0.0.
             yield np.maximum(0.0, block, out=block)
@@ -207,9 +194,9 @@ class DatasetStream:
         return self.w[rows] @ self.theta
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _noisy(self, rows: slice, rng: np.random.Generator) -> np.ndarray:
+    def _noisy(self, rows: slice) -> np.ndarray:
         block = self._clean(rows)
-        noise = rng.standard_normal(block.shape)
+        noise = self._rng.standard_normal(block.shape)
         noise *= self.sigma
         block += noise
         _finite_range(block, rows.start, f"the noise of sigma = {self.sigma:.6g} overflows")
@@ -219,9 +206,9 @@ class DatasetStream:
 def generate(spec: SyntheticSpec) -> GroundTruth:
     """Materialize a synthetic dataset; deterministic for a given seed.
 
-    ``t_noisy`` is filled from :meth:`DatasetStream.blocks`, so its values
-    match one N x M noise draw after the weights, and changing only the noise
-    level leaves the clean data intact.
+    ``t_noisy`` is filled from :meth:`DatasetStream.blocks`, whose noise is one
+    N x M draw from the generator left after the weights, so changing only the
+    noise level leaves the clean data intact.
     """
     data = DatasetStream(spec)
     t_noisy = np.empty((spec.n, spec.grid.m))

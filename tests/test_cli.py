@@ -424,7 +424,7 @@ class TestDecomposeCommand:
             ]
         )
         assert code == 3
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_failure_leaves_previous_outputs_untouched(
         self, tmp_path, dataset, monkeypatch
@@ -622,6 +622,60 @@ class TestDecomposeCommand:
         assert code == 4
         for name in ("theta.csv", "w.csv", "trace.csv", "report.txt"):
             assert not (out / name).exists()
+
+
+# Each command's second writer and the call of it that fails; score writes one
+# file, so it fails while writing its first row.
+FAILING_WRITERS = {
+    "decompose": ("write_matrix_csv", 2),
+    "compare-inits": ("write_line_plot", 1),
+    "synth": ("write_matrix_csv", 2),
+    "score": ("format_number", 1),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILING_WRITERS))
+def test_failure_into_a_fresh_nested_path_leaves_no_directory(
+    tmp_path, dataset, monkeypatch, capsys, command
+):
+    code, recovered = run_decompose(tmp_path, dataset, "recovered")
+    assert code == 0
+    root = tmp_path / "runs"
+    root.mkdir()
+    (root / "kept.txt").write_text("kept\n")
+    out = str(root / "a" / "b" / "out")
+    data = ["--input", str(dataset / "dataset.csv"), "--k", "3", "--out", out]
+    argv = {
+        "decompose": ["decompose", *data, "--init", "nndsvd"],
+        "compare-inits": ["compare-inits", *data, "--strategies", "nndsvd"],
+        "synth": ["synth", "--spec", str(tmp_path / "spec.txt"), "--out", out],
+        "score": ["score", "--recovered", str(recovered), "--truth", str(dataset), "--out", out],
+    }[command]
+    name, failing_call = FAILING_WRITERS[command]
+    writer, calls = getattr(cli, name), []
+
+    def fails_once_reached(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise OSError("disk full")
+        return writer(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, fails_once_reached)
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "i/o error: disk full\n"
+    assert len(calls) == failing_call
+    assert sorted(p.name for p in root.iterdir()) == ["kept.txt"]
+
+
+def test_output_directory_that_cannot_be_made_leaves_no_parents(tmp_path, dataset, capsys):
+    # The parents are made before the name that is too long fails.
+    root = tmp_path / "runs"
+    root.mkdir()
+    out = root / "a" / "b" / ("x" * 300)
+    assert cli.main(["synth", "--spec", str(tmp_path / "spec.txt"), "--out", str(out)]) == 3
+    assert "File name too long" in capsys.readouterr().err
+    assert not any(root.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -933,25 +987,32 @@ def datasets(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_contract(argv, out) -> int:
-    """Run ``argv`` against an output directory holding a previous run's file:
-    the exit code is documented, an exit 0 writes only finite numbers, and any
-    other exit leaves the directory as it was. pytest turns a warning into an
+def assert_contract(argv, out, fresh=False) -> int:
+    """Run ``argv`` against an output directory holding a previous run's file,
+    or, if ``fresh``, against one that does not exist yet: the exit code is
+    documented, an exit 0 writes only finite numbers, and any other exit
+    leaves the directory as it was, or absent. pytest turns a warning into an
     error, so none may be emitted either."""
-    out.mkdir(exist_ok=True)
-    (out / "report.txt").write_text("previous run\n")
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if not fresh:
+        out.mkdir(exist_ok=True)
+        (out / "report.txt").write_text("previous run\n")
+    before = listing(out)
     code = cli.main(argv)
     assert code in (0, 2, 3, 4)
-    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    after = listing(out)
     if code:
         assert after == before
-    for name, body in after.items():
+    for name, body in (after or {}).items():
         if name == "match.csv":
             # A constant weight column has no correlation; score writes nan for it.
             body = re.sub(rb",nan$", b"", body, flags=re.M)
         assert not re.search(rb"(?i)\b(nan|inf)\b", body), name
     return code
+
+
+def listing(out):
+    """Each file's bytes by name, or None where ``out`` does not exist."""
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
 
 
 @settings(max_examples=120, deadline=None)
@@ -998,13 +1059,20 @@ def test_contract_holds_for_spec_config_and_score_files(
         optional={"noise": VALUES, "noise_rel": VALUES},
     ).filter(lambda d: not {"noise", "noise_rel"} <= set(d)),
     curves=st.lists(curve_lines(weights=True), min_size=1, max_size=2),
+    fresh=st.booleans(),
 )
-def test_synth_contract_holds_across_the_double_range(tmp_path_factory, directives, curves):
+# Noise that overflows at recording 3, sample 0, once dataset.csv is open, into a fresh path.
+@example(
+    directives={"n": 4, "m": 4, "dt": "1", "seed": 0, "noise": "1e308"},
+    curves=["cooling tau_c=2 amp=1 weights=constant:1"],
+    fresh=True,
+)
+def test_synth_contract_holds_across_the_double_range(tmp_path_factory, directives, curves, fresh):
     root = tmp_path_factory.mktemp("synth")
     lines = [f"{key}={value}" for key, value in directives.items()] + curves
     (root / "spec.txt").write_text("\n".join(lines) + "\n")
     out = root / "out"
-    assert_contract(["synth", "--spec", str(root / "spec.txt"), "--out", str(out)], out)
+    assert_contract(["synth", "--spec", str(root / "spec.txt"), "--out", str(out)], out, fresh)
 
 
 @pytest.mark.parametrize("kind", ["dataset", "components", "config", "theta"])
@@ -1199,25 +1267,19 @@ def synth_counting_passes(monkeypatch, tmp_path, text):
     [
         (SYNTH_TALL_SPEC, False),
         ("n=5000\nm=32\ndt=5\nseed=12\nnoise_rel=0.5\n" + "\n".join(STREAM_CURVES[:2]), True),
+        # Noise near the largest double that stays finite is drawn once too.
+        (
+            "n=2100\nm=4\ndt=1\nseed=5\nnoise=1e307\ncooling tau_c=2 amp=1 weights=constant:1\n",
+            True,
+        ),
     ],
-    ids=["synth_tall", "noise_rel-0.5"],
+    ids=["synth_tall", "noise_rel-0.5", "noise-1e307"],
 )
 def test_synth_draws_the_noise_once_when_it_cannot_overflow(monkeypatch, tmp_path, text, clamped):
     stdout, written, truth, passes = synth_counting_passes(monkeypatch, tmp_path, text)
     assert passes == 1
     assert written.tobytes() == truth.t_noisy.tobytes()
     assert (truth.noise_clamps > 0) == clamped
-    assert stdout.endswith(f"({truth.noise_clamps} noise clamp(s))\n")
-
-
-def test_noise_that_may_overflow_is_checked_before_writing(monkeypatch, tmp_path):
-    # sigma = 1e307 times a normal below 13.8 stays finite, but the bound of
-    # 64 sigma cannot rule out an overflow, so the checking pass runs first.
-    text = "n=2100\nm=4\ndt=1\nseed=5\nnoise=1e307\ncooling tau_c=2 amp=1 weights=constant:1\n"
-    stdout, written, truth, passes = synth_counting_passes(monkeypatch, tmp_path, text)
-    assert passes == 2
-    assert written.tobytes() == truth.t_noisy.tobytes()
-    assert truth.noise_clamps > 0
     assert stdout.endswith(f"({truth.noise_clamps} noise clamp(s))\n")
 
 
