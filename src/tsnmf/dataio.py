@@ -5,7 +5,9 @@ with an optional single header row of time labels ``t=<seconds>`` fixing
 the sampling step. Blank lines are skipped. numpy's parser streams the file
 once; a ``float`` cell scan re-reads it only to name a defect's line (and column).
 Numbers are written with Python's shortest round-trip representation so
-exported files re-ingest bit-identically.
+exported files re-ingest bit-identically; rows are formatted a slice of
+about ``_SLICE_CELLS`` cells at a time, through one ``%`` call per slice, and
+a matrix with a non-finite value is rejected before it is written.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import ValidationError
 from .initialization import TimeGrid, time_vector
 
 logger = logging.getLogger(__name__)
+
+# Cells formatted by one ``%`` call. A slice's Python floats and text take a
+# few hundred kB; test_memory's synth bound leaves little more than that.
+_SLICE_CELLS = 8192
 
 
 @dataclass
@@ -164,23 +170,55 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
+def _write_rows(fh, table: np.ndarray, row: str) -> None:
+    """Write ``table`` to ``fh`` through the ``%`` template ``row`` of one row,
+    formatting a slice of about :data:`_SLICE_CELLS` cells per call.
+
+    ``repr`` of a Python float (``%r``) is :func:`format_number`'s output.
+    """
+    step = max(1, _SLICE_CELLS // max(1, table.shape[1]))
+    for start in range(0, len(table), step):
+        cells = table[start : start + step]
+        fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+
+
+def _check_finite(block: np.ndarray, first_row: int) -> None:
+    """Reject ``block``, whose rows follow ``first_row`` written ones, if it
+    holds a non-finite value, naming the row and column of the first. Its
+    minimum and maximum, which NaN propagates to, are finite if every value is,
+    and take no N x M mask."""
+    if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        i, j = np.argwhere(~np.isfinite(block))[0]
+        raise ValidationError(
+            f"cannot write the non-finite value {float(block[i, j])!r} at row "
+            f"{first_row + i + 1}, column {j + 1} as CSV"
+        )
+
+
 def write_matrix_csv(path, matrix, grid: TimeGrid | None = None) -> None:
     """Write a matrix as CSV, optionally with a ``t=...`` header row.
 
     ``matrix`` is an array-like (1-D for one row), or an iterator of 2-D float
     row blocks, written in order, so that a caller need not hold every row.
-    An array of more than two dimensions raises :class:`ValidationError`.
+    Rows are formatted a slice at a time. An array of more than two
+    dimensions, or one holding a non-finite value, raises
+    :class:`ValidationError` before the file is opened; a non-finite value in
+    a row block raises it before that block is written.
     """
     if not isinstance(matrix, Iterator):
-        matrix = [np.atleast_2d(np.asarray(matrix, dtype=float))]
-        if matrix[0].ndim > 2:
-            raise ValidationError(f"cannot write an array of shape {matrix[0].shape} as CSV")
+        table = np.atleast_2d(np.asarray(matrix, dtype=float))
+        if table.ndim > 2:
+            raise ValidationError(f"cannot write an array of shape {table.shape} as CSV")
+        _check_finite(table, 0)
+        matrix = [table]
     with open(path, "w", encoding="utf-8") as fh:
         if grid is not None:
             fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")
-        for row in chain.from_iterable(matrix):
-            # repr of a Python float is format_number's output.
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        rows = 0
+        for block in matrix:
+            _check_finite(block, rows)
+            _write_rows(fh, block, ",".join(["%r"] * block.shape[1]) + "\n")
+            rows += len(block)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -196,9 +234,10 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_trace_csv(path, costs, names=("cost",)) -> None:
-    """Write an ``iteration,<names>`` table of one series or one column per name."""
+    """Write an ``iteration,<names>`` table of one series or one column per
+    name; rows are formatted a slice at a time."""
     table = np.asarray(costs, dtype=float).reshape(len(costs), len(names))
+    indexed = np.column_stack((np.arange(1.0, len(table) + 1.0), table))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(("iteration", *names)) + "\n")
-        for i, row in enumerate(table, start=1):
-            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
+        _write_rows(fh, indexed, "%d," + ",".join(["%r"] * len(names)) + "\n")

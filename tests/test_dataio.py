@@ -378,3 +378,115 @@ def test_one_label_header_warning_says_no_step_is_inferred(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}: one time label fixes no step, and no --dt; assuming dt = 1.0"
     ]
+
+
+def reference_write_matrix_csv(path, matrix, grid=None):
+    """The writer as it was before rows were formatted a slice at a time: one
+    ``repr`` join per row."""
+    if not isinstance(matrix, list):
+        matrix = [np.atleast_2d(np.asarray(matrix, dtype=float))]
+    with open(path, "w", encoding="utf-8") as fh:
+        if grid is not None:
+            fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")
+        for block in matrix:
+            for row in block:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def reference_write_trace_csv(path, costs, names=("cost",)):
+    table = np.asarray(costs, dtype=float).reshape(len(costs), len(names))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(("iteration", *names)) + "\n")
+        for i, row in enumerate(table, start=1):
+            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+
+
+@st.composite
+def tables(draw, width):
+    """An (n, ``width``) array whose n falls on either side of the writer's
+    slice boundaries, filled from the edge values and a few drawn floats."""
+    step = max(1, dataio._SLICE_CELLS // width)
+    n = draw(st.sampled_from([0, 1, 2, step - 1, step, step + 1, 2 * step + 3]))
+    pool = EDGE_VALUES + draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool), size=(n, width))
+
+
+@st.composite
+def matrix_inputs(draw):
+    m = draw(st.integers(1, 40))
+    table = draw(tables(m))
+    cuts = sorted(draw(st.lists(st.integers(0, len(table)), max_size=4)))
+    return table, cuts, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_inputs())
+@example((np.array([EDGE_VALUES] * 2057), [2049, 2050, 2057], True))
+def test_write_matrix_csv_writes_the_reference_bytes(tmp_path_factory, case):
+    table, cuts, with_grid = case
+    grid = time_vector(table.shape[1], 2.5) if with_grid else None
+    folder = tmp_path_factory.mktemp("writer")
+    blocks = np.split(table, cuts)
+    reference_write_matrix_csv(folder / "ref.csv", blocks, grid)
+    expected = (folder / "ref.csv").read_bytes()
+    write_matrix_csv(folder / "array.csv", table, grid)
+    assert (folder / "array.csv").read_bytes() == expected
+    write_matrix_csv(folder / "blocks.csv", iter(blocks), grid)
+    assert (folder / "blocks.csv").read_bytes() == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(names=st.sampled_from([("cost",), ("a", "b", "c")]), data=st.data())
+def test_write_trace_csv_writes_the_reference_bytes(tmp_path_factory, names, data):
+    # The iteration column counts towards a slice's cells.
+    table = data.draw(tables(len(names) + 1))[:, 1:]
+    costs = table[:, 0] if len(names) == 1 else table
+    folder = tmp_path_factory.mktemp("trace")
+    reference_write_trace_csv(folder / "ref.csv", costs, names)
+    write_trace_csv(folder / "trace.csv", costs, names)
+    assert (folder / "trace.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "write,expected",
+    [
+        (lambda p: write_matrix_csv(p, []), "\n"),
+        (lambda p: write_matrix_csv(p, np.zeros((0, 3))), ""),
+        (lambda p: write_matrix_csv(p, np.zeros((0, 3)), time_vector(3, 5.0)), "t=0.0,t=5.0,t=10.0\n"),
+        (lambda p: write_matrix_csv(p, 5.0), "5.0\n"),
+        (lambda p: write_trace_csv(p, []), "iteration,cost\n"),
+    ],
+    ids=["empty-list", "no-rows", "no-rows-with-grid", "scalar", "empty-trace"],
+)
+def test_edge_shapes_keep_their_bytes(tmp_path, write, expected):
+    path = tmp_path / "m.csv"
+    write(path)
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_matrix_csv_rejects_a_non_finite_array_before_opening(tmp_path, value):
+    path = tmp_path / "m.csv"
+    matrix = np.ones((3, 4))
+    matrix[1, 2] = value
+    matrix[2, 0] = float("nan")
+    with pytest.raises(ValidationError) as info:
+        write_matrix_csv(path, matrix)
+    assert str(info.value) == f"cannot write the non-finite value {value!r} at row 2, column 3 as CSV"
+    assert not path.exists()
+
+
+def test_write_matrix_csv_rejects_a_non_finite_block_before_writing_it(tmp_path):
+    path = tmp_path / "m.csv"
+    bad = np.ones((4, 2))
+    bad[3, 1] = float("inf")
+    with pytest.raises(ValidationError) as info:
+        write_matrix_csv(path, iter([np.zeros((5, 2)), bad]), time_vector(2, 1.0))
+    assert str(info.value) == "cannot write the non-finite value inf at row 9, column 2 as CSV"
+    assert path.read_text() == "t=0.0,t=1.0\n" + "0.0,0.0\n" * 5

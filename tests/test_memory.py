@@ -123,6 +123,14 @@ def test_ingest_holds_about_the_result_array(tmp_path):
     assert peak <= 1.5 * matrix.nbytes
 
 
+def test_writer_holds_one_slice_of_python_floats_and_text(tmp_path):
+    # A slice of dataio._SLICE_CELLS cells as floats, a tuple and text. The
+    # table as Python floats would be 61 MB, and a finiteness mask 1.9 MB.
+    matrix = np.random.default_rng(0).random((60_000, 32)) * 800.0
+    _, peak = peak_bytes(write_matrix_csv, tmp_path / "m.csv", matrix)
+    assert peak <= 1_000_000
+
+
 def test_solve_holds_one_residual_next_to_its_stacks():
     n, m, k = 20_000, 32, 3
     truth = generate(planted_spec(n, m, 0.3))
