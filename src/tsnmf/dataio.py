@@ -6,8 +6,8 @@ the sampling step. Blank lines are skipped. numpy's parser streams the file
 once; a ``float`` cell scan re-reads it only to name a defect's line (and column).
 Numbers are written with Python's shortest round-trip representation so
 exported files re-ingest bit-identically; rows are formatted a slice of
-about ``_SLICE_CELLS`` cells at a time, through one ``%`` call per slice, and
-a matrix with a non-finite value is rejected before it is written.
+about ``_SLICE_CELLS`` cells at a time, through one ``%`` call per slice. Both
+writers reject a non-finite value, and a table that would not re-ingest.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .initialization import TimeGrid, time_vector
+from .linalg import first_bad
 
 logger = logging.getLogger(__name__)
 
@@ -83,10 +84,7 @@ def _parse_rows(path, first: str, fh, skip: int, nonnegative: bool) -> np.ndarra
     """
     try:
         values = np.loadtxt(chain((first,), fh), delimiter=",", comments=None, ndmin=2)
-        bad = ~np.isfinite(values)
-        if nonnegative:
-            bad |= values < 0.0
-        if not bad.any():
+        if first_bad(values, nonnegative) is None:
             return values
     except ValueError:
         pass  # a ragged row, a whitespace-only line, or a cell that numpy cannot read
@@ -182,16 +180,21 @@ def _write_rows(fh, table: np.ndarray, row: str) -> None:
         fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
-def _check_finite(block: np.ndarray, first_row: int) -> None:
-    """Reject ``block``, whose rows follow ``first_row`` written ones, if it
-    holds a non-finite value, naming the row and column of the first. Its
-    minimum and maximum, which NaN propagates to, are finite if every value is,
-    and take no N x M mask."""
-    if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
-        i, j = np.argwhere(~np.isfinite(block))[0]
+def _check_block(block: np.ndarray, first_row: int, width: int | None) -> None:
+    """Reject ``block``, whose rows follow ``first_row`` written ones, unless it is
+    2-D, ``width`` cells wide (when given) and finite, naming its first row, or the
+    row and column of its first non-finite value."""
+    if block.ndim != 2:
+        raise ValidationError(f"cannot write a {block.ndim}-D block at row {first_row + 1} as CSV")
+    if width not in (None, block.shape[1]):
         raise ValidationError(
-            f"cannot write the non-finite value {float(block[i, j])!r} at row "
-            f"{first_row + i + 1}, column {j + 1} as CSV"
+            f"cannot write rows of {block.shape[1]} cells at row {first_row + 1} "
+            f"into a CSV table {width} cells wide"
+        )
+    if (bad := first_bad(block)) is not None:
+        raise ValidationError(
+            f"cannot write the non-finite value {float(block[bad])!r} at row "
+            f"{first_row + bad[0] + 1}, column {bad[1] + 1} as CSV"
         )
 
 
@@ -200,24 +203,26 @@ def write_matrix_csv(path, matrix, grid: TimeGrid | None = None) -> None:
 
     ``matrix`` is an array-like (1-D for one row), or an iterator of 2-D float
     row blocks, written in order, so that a caller need not hold every row.
-    Rows are formatted a slice at a time. An array of more than two
-    dimensions, or one holding a non-finite value, raises
-    :class:`ValidationError` before the file is opened; a non-finite value in
-    a row block raises it before that block is written.
+    Rows are formatted a slice at a time. A table that would not re-ingest raises
+    :class:`ValidationError`: more than two dimensions, a block that is not 2-D,
+    rows not as wide as the header (or the first block) or a non-finite value.
+    An array is checked before the file is opened, a row block before it is written.
     """
+    width = None if grid is None else grid.m
     if not isinstance(matrix, Iterator):
         table = np.atleast_2d(np.asarray(matrix, dtype=float))
         if table.ndim > 2:
             raise ValidationError(f"cannot write an array of shape {table.shape} as CSV")
-        _check_finite(table, 0)
+        _check_block(table, 0, width)
         matrix = [table]
     with open(path, "w", encoding="utf-8") as fh:
         if grid is not None:
             fh.write(",".join(f"t={format_number(v)}" for v in grid.values) + "\n")
         rows = 0
         for block in matrix:
-            _check_finite(block, rows)
-            _write_rows(fh, block, ",".join(["%r"] * block.shape[1]) + "\n")
+            _check_block(block, rows, width)
+            width = block.shape[1]
+            _write_rows(fh, block, ",".join(["%r"] * width) + "\n")
             rows += len(block)
 
 
@@ -234,10 +239,14 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_trace_csv(path, costs, names=("cost",)) -> None:
-    """Write an ``iteration,<names>`` table of one series or one column per
-    name; rows are formatted a slice at a time."""
-    table = np.asarray(costs, dtype=float).reshape(len(costs), len(names))
+    """Write an ``iteration,<names>`` table of one series or one column per name, a slice at a
+    time; a table of another width or with a non-finite value is rejected before opening."""
+    table = np.asarray(costs, dtype=float)
+    if table.size != len(table) * len(names):
+        raise ValidationError(f"cannot write a trace of shape {table.shape} for {len(names)} name(s)")
+    table = table.reshape(len(table), len(names))
     indexed = np.column_stack((np.arange(1.0, len(table) + 1.0), table))
+    _check_block(indexed, 0, None)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(("iteration", *names)) + "\n")
         _write_rows(fh, indexed, "%d," + ",".join(["%r"] * len(names)) + "\n")

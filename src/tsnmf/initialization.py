@@ -19,8 +19,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (SvdResult, finite, norm, orient, pinv, require_matrix, require_nonnegative,
-                     require_rank, row_blocks, split_sections, svd, unit_exponent)
+from .linalg import (SvdResult, finite, first_bad, norm, orient, pinv, require_matrix,
+                     require_nonnegative, require_rank, row_blocks, split_sections, svd, unit_exponent)
 
 logger = logging.getLogger(__name__)
 
@@ -219,7 +219,7 @@ def knowledge_init(t, grid: TimeGrid, specs) -> InitResult:
     rows = []
     for j, spec in enumerate(specs):
         rows.append(component_curve(resolve_spec(spec, grid, amp_default), grid, data_mean))
-        if not np.all(np.isfinite(rows[-1])):
+        if first_bad(rows[-1]) is not None:
             raise ValidationError(f"component {j} ({spec.kind}): the curve is not finite")
     theta = np.vstack(rows)
 

@@ -1,11 +1,11 @@
 """Dense real matrix kernels and the numerical rules the whole package follows.
 
 The SVD is LAPACK's ``gesdd``, the package's one ``np.linalg`` route, with input
-validation, read-only results and one sign convention (:func:`orient`); NNDSVD
-takes its triplets through it. Sums run in one thread (:func:`dot`, :func:`norm`) or in
-fixed row blocks (:func:`row_blocks`), whose bytes do not depend on the BLAS thread
-count; scaling is by exact powers of two (:func:`unit_exponent`);
-:func:`finite` reports an overflow.
+validation, read-only results and one sign convention (:func:`orient`); NNDSVD takes its
+triplets through it. Sums run in one thread (:func:`dot`, :func:`norm`) or in fixed row
+blocks (:func:`row_blocks`), whose bytes do not depend on the BLAS thread count; scaling
+is by exact powers of two (:func:`unit_exponent`); every check of an array finds its first
+non-finite or negative entry with :func:`first_bad`; :func:`finite` reports an overflow.
 """
 
 from __future__ import annotations
@@ -54,12 +54,21 @@ def orient(u: np.ndarray, v: np.ndarray) -> None:
     u[:, flip], v[:, flip] = -u[:, flip], -v[:, flip]
 
 
+def first_bad(a, nonnegative: bool = False) -> tuple[int, ...] | None:
+    """The index of the first entry of ``a`` that is not finite (or, if ``nonnegative``, is below
+    0.0), or None; ``()`` for a 0-d ``a``. min(a, 0) and max(a, 0), which NaN reaches, decide."""
+    lo, hi = np.min(a, initial=0.0), np.max(a, initial=0.0)
+    if np.isfinite(hi) and (lo >= 0.0 if nonnegative else np.isfinite(lo)):
+        return None
+    return tuple(int(i) for i in np.argwhere(~np.isfinite(a) | (nonnegative & (a < 0.0)))[0])
+
+
 def finite(compute, what: str) -> np.ndarray:
     """``compute()``, or :class:`NumericalError` naming ``what`` if it is not finite."""
     # The check reports an overflow; numpy's warning would repeat it.
     with np.errstate(over="ignore"):
         value = compute()
-    if not np.all(np.isfinite(value)):
+    if first_bad(value) is not None:
         raise NumericalError(f"{what} overflows double precision")
     return value
 
@@ -71,11 +80,8 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be 2-D, got {arr.ndim} dimension(s)")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValidationError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise ValidationError(
-            f"{name} contains a non-finite entry at ({bad[0]}, {bad[1]})"
-        )
+    if (bad := first_bad(arr)) is not None:
+        raise ValidationError(f"{name} contains a non-finite entry at {bad}")
     return arr
 
 
@@ -99,8 +105,8 @@ def require_conforming(w: np.ndarray, theta: np.ndarray, shape=None, pre: str = 
 
 
 def require_nonnegative(a: np.ndarray, name: str) -> None:
-    """Reject an array with a negative entry, naming the first eight."""
-    if np.any(a < 0.0):
+    """Reject a finite array with a negative entry, naming the first eight."""
+    if first_bad(a, nonnegative=True) is not None:
         coords = [tuple(int(c) for c in rc) for rc in np.argwhere(a < 0.0)[:8]]
         raise ValidationError(f"{name} has negative entries at {coords}")
 
@@ -134,7 +140,7 @@ def svd(a) -> SvdResult:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed: {exc}") from exc
-    if not np.all(np.isfinite(sigma)):
+    if first_bad(sigma) is not None:
         raise NumericalError("svd failed: a singular value is not finite")
     v = vt.T
     orient(u, v)

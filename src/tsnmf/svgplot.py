@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import first_bad
 
 WIDTH = 800
 HEIGHT = 500
@@ -98,9 +99,8 @@ def render_line_plot(
     for name, values in [("x", x), *((f"series {label!r}", s) for s, label in zip(series, labels))]:
         if values.shape != x.shape:
             raise ValidationError(f"{name} has {values.size} values but x has {x.size}")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValidationError(f"{name} is not finite at index {bad[0]}: {values[bad[0]]}")
+        if (bad := first_bad(values)) is not None:
+            raise ValidationError(f"{name} is not finite at index {bad[0]}: {values[bad]}")
 
     if log_y:
         floor = min((float(s[s > 0].min()) for s in series if np.any(s > 0)), default=1.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .initialization import MEAN, ComponentSpec, TimeGrid, component_curve, resolve_spec
-from .linalg import dot, norm, require_conforming, require_rank, row_blocks, unit_exponent
+from .linalg import dot, first_bad, norm, require_conforming, require_rank, row_blocks, unit_exponent
 from .nmf import Factorization
 
 # The arguments of each weight model, in spec-file order.
@@ -218,14 +218,12 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
 
 
 def _finite_range(rows: np.ndarray, first_row: int, why: str) -> tuple[float, float]:
-    """The least and greatest entries of ``rows``, or :class:`ValidationError`
-    naming the first entry that is not finite (``rows`` starts at recording
-    ``first_row``) and ``why``."""
-    # Both are finite only if every entry is (nan propagates), and neither needs a mask.
+    """The least and greatest entries of ``rows``, which starts at recording ``first_row``,
+    or :class:`ValidationError` naming the first that is not finite and ``why``."""
     lo, hi = np.min(rows), np.max(rows)
     if np.isfinite(lo) and np.isfinite(hi):
         return lo, hi
-    i, j = np.argwhere(~np.isfinite(rows))[0]
+    i, j = first_bad(rows)
     raise ValidationError(
         f"synthetic data is not finite at recording {first_row + i}, sample {j}; {why}"
     )

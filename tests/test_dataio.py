@@ -490,3 +490,63 @@ def test_write_matrix_csv_rejects_a_non_finite_block_before_writing_it(tmp_path)
         write_matrix_csv(path, iter([np.zeros((5, 2)), bad]), time_vector(2, 1.0))
     assert str(info.value) == "cannot write the non-finite value inf at row 9, column 2 as CSV"
     assert path.read_text() == "t=0.0,t=1.0\n" + "0.0,0.0\n" * 5
+
+
+@pytest.mark.parametrize(
+    "matrix,grid,message,written",
+    [
+        (
+            np.ones((2, 3)),
+            time_vector(5, 1.0),
+            "cannot write rows of 3 cells at row 1 into a CSV table 5 cells wide",
+            None,
+        ),
+        (
+            iter([np.ones((2, 3)), np.ones((1, 4))]),
+            None,
+            "cannot write rows of 4 cells at row 3 into a CSV table 3 cells wide",
+            "1.0,1.0,1.0\n" * 2,
+        ),
+        (
+            iter([np.ones((1, 3))]),
+            time_vector(2, 1.0),
+            "cannot write rows of 3 cells at row 1 into a CSV table 2 cells wide",
+            "t=0.0,t=1.0\n",
+        ),
+        (
+            iter([np.ones((2, 3)), np.ones(3)]),
+            None,
+            "cannot write a 1-D block at row 3 as CSV",
+            "1.0,1.0,1.0\n" * 2,
+        ),
+    ],
+    ids=["array-narrower-than-grid", "block-wider-than-first", "block-wider-than-grid", "1d-block"],
+)
+def test_write_matrix_csv_rejects_a_table_that_would_not_reingest(
+    tmp_path, matrix, grid, message, written
+):
+    # An array is rejected before the file is opened, a block before it is written.
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValidationError) as info:
+        write_matrix_csv(path, matrix, grid)
+    assert str(info.value) == message
+    assert (path.read_text() if path.exists() else None) == written
+
+
+def test_write_trace_csv_rejects_a_table_that_does_not_fit_its_names(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValidationError) as info:
+        write_trace_csv(path, [[1.0, 2.0]], ("a",))
+    assert str(info.value) == "cannot write a trace of shape (1, 2) for 1 name(s)"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_trace_csv_rejects_a_non_finite_cost_before_opening(tmp_path, value):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValidationError) as info:
+        write_trace_csv(path, [[1.0, 2.0], [3.0, value], [float("nan"), 4.0]], ("a", "b"))
+    # The iteration column is the file's first, so cost b is column 3.
+    expected = f"cannot write the non-finite value {value!r} at row 2, column 3 as CSV"
+    assert str(info.value) == expected
+    assert not path.exists()

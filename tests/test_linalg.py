@@ -3,11 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import tsnmf
 from tsnmf import NumericalError, SvdResult, ValidationError, pinv, split_sections, svd
 from tsnmf.linalg import (
     dot,
+    first_bad,
     norm,
     orient,
     require_matrix,
@@ -273,6 +277,81 @@ class TestSharedRules:
         assert dot(x, y) == np.einsum("ij,ij->", x, y)
         assert norm(x) == np.sqrt(np.einsum("ij,ij->", x, x))
 
+
+
+def reference_first_bad(a, nonnegative):
+    """The first bad index, found through a full mask of the array."""
+    found = np.argwhere(~np.isfinite(a) | (nonnegative & (a < 0.0)))
+    return tuple(int(i) for i in found[0]) if len(found) else None
+
+
+EDGE_VALUES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+    1.0, -2.5, 1.7976931348623157e308,
+]
+
+
+@st.composite
+def laid_out(draw):
+    """An array of 0 to 2 dimensions (sides from 0) of edge values, in C or
+    Fortran order, or as a strided view whose skipped entries are NaN."""
+    a = draw(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+            elements=st.sampled_from(EDGE_VALUES) | st.floats(width=64),
+        )
+    )
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided" and a.ndim:
+        every_other = (slice(None, None, 2),) * a.ndim
+        base = np.full(tuple(2 * n for n in a.shape), np.nan)
+        base[every_other] = a
+        return base[every_other]
+    return a
+
+
+class TestFirstBad:
+    @settings(max_examples=300, deadline=None)
+    @given(a=laid_out(), nonnegative=st.booleans())
+    @example(a=np.array([[1.0, -0.0], [5e-324, 2.0]]), nonnegative=True)
+    @example(a=np.array([[1.0, -5e-324], [np.nan, 2.0]]), nonnegative=True)
+    @example(a=np.array([[1.0, -5e-324], [np.nan, 2.0]]), nonnegative=False)
+    @example(a=np.asfortranarray([[1.0, 2.0], [np.inf, np.nan]]), nonnegative=False)
+    def test_matches_the_mask_reference(self, a, nonnegative):
+        assert first_bad(a, nonnegative) == reference_first_bad(a, nonnegative)
+
+    @pytest.mark.parametrize(
+        "a,nonnegative,expected",
+        [
+            (1.0, False, None),
+            (-1.0, True, ()),
+            (-0.0, True, None),
+            (float("inf"), False, ()),
+            (np.float64("nan"), False, ()),
+            (np.array(-np.inf), False, ()),
+        ],
+    )
+    def test_numbers_and_0d_arrays_report_an_empty_index(self, a, nonnegative, expected):
+        # () is falsy, so callers must test ``is None``.
+        assert first_bad(a, nonnegative) == expected
+
+
+def test_only_first_bad_searches_for_a_bad_entry():
+    # Every check of an array for non-finite or negative entries goes through
+    # linalg.first_bad; other modules call np.isfinite on scalars only.
+    package = Path(tsnmf.__file__).parent
+    banned = re.compile(r"np\.argwhere\(|~np\.isfinite|np\.(all|any)\(np\.isfinite")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if banned.search(line)
+    ]
+    assert found == []
 
 def test_shared_rules_have_one_home():
     # A sum taken by BLAS ddot depends on the thread count; scaling and these

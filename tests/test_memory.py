@@ -23,7 +23,7 @@ from tsnmf import (
 from tsnmf import cli
 from tsnmf.dataio import ingest_csv, write_matrix_csv
 from tsnmf.initialization import nndsvd_init
-from tsnmf.linalg import ROW_BLOCK
+from tsnmf.linalg import ROW_BLOCK, require_matrix, require_nonnegative
 from tsnmf.nmf import Factorization, revive_dead_component, solve
 
 
@@ -130,6 +130,14 @@ def test_writer_holds_one_slice_of_python_floats_and_text(tmp_path):
     _, peak = peak_bytes(write_matrix_csv, tmp_path / "m.csv", matrix)
     assert peak <= 1_000_000
 
+
+
+@pytest.mark.parametrize("check", [require_matrix, require_nonnegative])
+def test_a_passing_check_allocates_no_mask(check):
+    # A boolean mask of the array would be an eighth of its bytes.
+    a = np.random.default_rng(0).random((1000, 1000))
+    _, peak = peak_bytes(check, a, "t")
+    assert peak <= a.nbytes / 64
 
 def test_solve_holds_one_residual_next_to_its_stacks():
     n, m, k = 20_000, 32, 3
